@@ -46,6 +46,9 @@ class CheckedProgram:
     program: A.Program
     symtab: SymbolTable
     spawn_sites: list[SpawnSite] = field(default_factory=list)
+    #: the program lowered for execution (:mod:`repro.runtime.lower`),
+    #: built on first run and reused by every later one
+    lowered: object = field(default=None, repr=False, compare=False)
 
     @property
     def worker_names(self) -> list[str]:

@@ -101,6 +101,8 @@ class DataLayout:
         #: (base, path) -> {flat_index: addr} for group members
         self._group_addr: dict[tuple[str, tuple[str, ...]], dict[int, int]] = {}
         self._grouped_paths: dict[str, set[tuple[str, ...]]] = {}
+        #: path shape -> place_table() result
+        self._tables: dict[tuple, tuple] = {}
         self.group_region_size = 0
         self._build_structs()
         self._build_globals()
@@ -326,48 +328,101 @@ class DataLayout:
 
         Pointer hops never appear here — the interpreter follows raw
         pointer values itself; this resolves purely static paths
-        (which is where group/pad/lock layouts live).
+        (which is where group/pad/lock layouts live).  The placement
+        itself is :meth:`place_table`'s.
         """
+        table, strides, ty = self.place_table(base, steps)
+        gty = self.globals[base].type
+        k = 0
+        flat = 0
+        while k < len(steps) and steps[k][0] == "idx":
+            flat = flat * gty.dims[k] + int(steps[k][1])  # type: ignore[union-attr]
+            k += 1
+        addr = table[flat] if k else table
+        trailing = [int(v) for kind, v in steps[k:] if kind == "idx"]  # type: ignore[arg-type]
+        for idx, stride in zip(trailing, strides):
+            addr += idx * stride
+        return addr, ty
+
+    def place_table(self, base: str, steps) -> tuple[object, list[int], T.CType]:
+        """The address plan of a static access path — the one place the
+        group, pad and lock placements are resolved.
+
+        Only the shape of ``steps`` matters: :meth:`materialize` steps
+        with the index values ignored.  Returns ``(table, strides, ty)``
+        such that the address at index values ``i_0, i_1, ...`` is
+        ``table[flat] + Σ_j t_j * strides[j]``, where ``flat`` is the
+        row-major position of the leading indices (those into the base
+        array) among the base array's leading dimensions and ``t_j`` are
+        the trailing indices (into arrays inside structs); without
+        leading indices ``table`` is the address itself.  ``ty`` is the
+        type reached.  Plans are cached per path shape.
+        """
+        shape = (base,) + tuple(s[0] if s[0] == "idx" else s[1] for s in steps)
+        plan = self._tables.get(shape)
+        if plan is None:
+            plan = self._tables[shape] = self._place_table(base, steps)
+        return plan
+
+    def _place_table(self, base: str, steps) -> tuple[object, list[int], T.CType]:
         ginfo = self.globals[base]
         ty: T.CType = ginfo.type
-        # Split leading index steps (into the base array) from the rest.
-        idx_coords: list[int] = []
         k = 0
-        if isinstance(ty, T.ArrayType):
-            while k < len(steps) and steps[k][0] == "idx" and len(idx_coords) < len(ty.dims):
-                idx_coords.append(int(steps[k][1]))  # type: ignore[arg-type]
-                k += 1
-        field_path: list[str] = []
-        probe_ty = _elem_after(ty, len(idx_coords))
-        j = k
-        while j < len(steps) and steps[j][0] == "field":
-            field_path.append(str(steps[j][1]))
-            j += 1
-        # Group member match: longest matching field-path prefix.
-        if base in self._grouped_paths and len(idx_coords) == _ndims(ty):
-            for plen in range(len(field_path), -1, -1):
-                key = (base, tuple(field_path[:plen]))
-                amap = self._group_addr.get(key)
-                if amap is None:
-                    continue
-                flat = _flatten(idx_coords, ty.dims) if isinstance(ty, T.ArrayType) else 0
-                addr = amap[flat]
-                sub_ty = self._member_type(base, key[1])
-                return self._apply_steps(addr, sub_ty, steps[k + plen:])
-        # Padded / natural placement.
-        addr = ginfo.base
-        if isinstance(ty, T.ArrayType) and idx_coords:
-            stride = ginfo.elem_stride or self.sizeof(ty.elem)
-            flat = _flatten_partial(idx_coords, ty.dims)
-            if ginfo.elem_stride is not None and len(idx_coords) == len(ty.dims):
-                addr += _flatten(idx_coords, ty.dims) * stride
-            elif ginfo.elem_stride is not None:
-                # partial index of padded multi-dim array: stride applies
-                # at element granularity
-                addr += _flatten_partial(idx_coords, ty.dims) * stride
+        while k < len(steps) and steps[k][0] == "idx":
+            k += 1
+        fields: list[str] = []
+        while k + len(fields) < len(steps) and steps[k + len(fields)][0] == "field":
+            fields.append(str(steps[k + len(fields)][1]))
+        dims = ty.dims if isinstance(ty, T.ArrayType) else ()
+        count = 1
+        for d in dims[:k]:
+            count *= d
+        entries = None
+        if base in self._grouped_paths and k == len(dims):
+            # group member match: longest matching field-path prefix
+            for plen in range(len(fields), -1, -1):
+                path = tuple(fields[:plen])
+                amap = self._group_addr.get((base, path))
+                if amap is not None:
+                    entries = [amap[flat] for flat in range(count)]
+                    sub_ty = self._member_type(base, path)
+                    rest = steps[k + plen:]
+                    break
+        if entries is None:
+            # padded / natural placement
+            start, step = ginfo.base, 0
+            if k:
+                span = 1
+                for d in dims[k:]:
+                    span *= d
+                step = span * (ginfo.elem_stride or self.sizeof(ty.elem))
+            sub_ty = _elem_after(ty, k)
+            rest = steps[k:]
+        offset = 0
+        strides: list[int] = []
+        for s in rest:
+            if s[0] == "idx":
+                if not isinstance(sub_ty, T.ArrayType):  # pragma: no cover
+                    raise TransformError(f"cannot index type {sub_ty}")
+                sub_ty = (
+                    T.ArrayType(sub_ty.elem, sub_ty.dims[1:])
+                    if len(sub_ty.dims) > 1
+                    else sub_ty.elem
+                )
+                strides.append(self.sizeof(sub_ty))
             else:
-                addr += flat * self.sizeof(ty.elem)
-        return self._apply_steps(addr, probe_ty, steps[k:])
+                assert isinstance(sub_ty, T.StructType)
+                fld = self.field_of(sub_ty.name, str(s[1]))
+                offset += fld.offset
+                sub_ty = fld.type
+        if entries is not None:
+            if not k:
+                return entries[0] + offset, strides, sub_ty
+            return tuple(a + offset for a in entries), strides, sub_ty
+        start += offset
+        if not k:
+            return start, strides, sub_ty
+        return range(start, start + count * step, step), strides, sub_ty
 
     def _member_type(self, base: str, path: tuple[str, ...]) -> T.CType:
         ty = self.globals[base].type
@@ -378,28 +433,6 @@ class DataLayout:
             ty = self.field_of(ty.name, comp).type
         return ty
 
-    def _apply_steps(self, addr: int, ty: T.CType, steps: list[Step]) -> tuple[int, T.CType]:
-        for kind, val in steps:
-            if kind == "idx":
-                if isinstance(ty, T.ArrayType):
-                    inner = (
-                        T.ArrayType(ty.elem, ty.dims[1:]) if len(ty.dims) > 1 else ty.elem
-                    )
-                    addr += int(val) * self.sizeof(inner)  # type: ignore[arg-type]
-                    ty = inner
-                else:  # pragma: no cover - interpreter handles pointers
-                    raise TransformError(f"cannot index type {ty}")
-            else:
-                assert isinstance(ty, T.StructType)
-                fld = self.field_of(ty.name, str(val))
-                addr += fld.offset
-                ty = fld.type
-        return addr, ty
-
-
-def _ndims(ty: T.CType) -> int:
-    return len(ty.dims) if isinstance(ty, T.ArrayType) else 0
-
 
 def _elem_after(ty: T.CType, nidx: int) -> T.CType:
     if isinstance(ty, T.ArrayType):
@@ -409,24 +442,6 @@ def _elem_after(ty: T.CType, nidx: int) -> T.CType:
             return ty
         return T.ArrayType(ty.elem, ty.dims[nidx:])
     return ty
-
-
-def _flatten(coords: list[int], dims: tuple[int, ...]) -> int:
-    flat = 0
-    for c, d in zip(coords, dims):
-        flat = flat * d + c
-    return flat
-
-
-def _flatten_partial(coords: list[int], dims: tuple[int, ...]) -> int:
-    """Flat element offset of a partial index (row-major)."""
-    flat = 0
-    for i, c in enumerate(coords):
-        span = 1
-        for d in dims[i + 1:]:
-            span *= d
-        flat += c * span
-    return flat
 
 
 def _unflatten(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:

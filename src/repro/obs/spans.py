@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro import perf
@@ -90,6 +91,9 @@ class Span:
 class _State(threading.local):
     def __init__(self):
         self.stack: list[tuple[Span, dict[str, float]]] = []
+        #: where this thread's root spans go instead of the global roots
+        #: (see :func:`adopt_roots`)
+        self.adopter: list[Span] | None = None
 
 
 _local = _State()
@@ -155,6 +159,8 @@ class _SpanContext:
             sp.meta.setdefault("error", exc_type.__name__)
         if _local.stack:
             _local.stack[-1][0].children.append(sp)
+        elif _local.adopter is not None:
+            _local.adopter.append(sp)
         else:
             with _lock:
                 _roots.append(sp)
@@ -184,6 +190,19 @@ def span(name: str, **meta):
     if not _enabled:
         return _NULL
     return _SpanContext(name, meta)
+
+
+@contextmanager
+def adopt_roots(into: list[Span]):
+    """Collect the root spans this thread closes into ``into`` instead
+    of the trace's roots — for a helper thread (the streaming producer)
+    whose spans are stitched under a span of the thread it serves."""
+    prev = _local.adopter
+    _local.adopter = into
+    try:
+        yield into
+    finally:
+        _local.adopter = prev
 
 
 def epoch() -> float:

@@ -8,7 +8,11 @@ Semantics
 * ``create(f, e)`` spawns a worker; ``wait_for_end()`` joins; workers
   synchronize with ``barrier()`` and ``lock``/``unlock``;
 * scheduling is deterministic round-robin at statement granularity
-  (see :mod:`repro.runtime.scheduler`);
+  (see :mod:`repro.runtime.scheduler`), or seeded work stealing
+  (:mod:`repro.runtime.stealing`);
+* the program runs as generated code: :mod:`repro.runtime.lower` turns
+  each C function into one Python generator function, which this module
+  binds to the layout and drives;
 * every shared reference goes through the
   :class:`~repro.layout.datalayout.DataLayout`, so running the same
   program under the unoptimized and transformed layouts produces exactly
@@ -29,12 +33,10 @@ source-to-source compiler emits (see DESIGN.md).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import time
+from typing import Optional
 
 from repro.errors import RuntimeFault
-from repro.lang import astnodes as A
 from repro.lang import ctypes as T
 from repro.lang.checker import CheckedProgram
 from repro.layout.datalayout import (
@@ -42,7 +44,7 @@ from repro.layout.datalayout import (
     HEAP_BASE,
     DataLayout,
 )
-from repro.runtime.builtins import PURE_IMPLS
+from repro.runtime import lower
 from repro.runtime.scheduler import Proc, Scheduler
 from repro.runtime.stealing import SchedConfig, StealScheduler, resolve_sched
 from repro.runtime.trace import RunResult, TraceBuffer
@@ -53,45 +55,6 @@ PRIVATE_STRIDE = 0x0100_0000
 
 _POINTER_SIZE = 8
 
-#: ``REPRO_INTERP_FAST=0`` forces every expression through the
-#: yield-driven evaluator (debugging/equivalence testing only).
-_FAST_ENV = "REPRO_INTERP_FAST"
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-@dataclass(slots=True)
-class StaticPlace:
-    """An lvalue still expressed as (global, concrete steps); resolved to
-    an address through the layout only when accessed, so transformed
-    layouts apply."""
-
-    base: str
-    steps: list
-    ty: T.CType
-
-
-@dataclass(slots=True)
-class RawPlace:
-    """An lvalue at a known address (through pointers or private data)."""
-
-    addr: int
-    ty: T.CType
-
-
-Place = StaticPlace | RawPlace
-
 
 def _default_for(ty: T.CType):
     if isinstance(ty, T.DoubleType):
@@ -100,7 +63,14 @@ def _default_for(ty: T.CType):
 
 
 class Interpreter:
-    """One program execution at one process count under one layout."""
+    """One program execution at one process count under one layout.
+
+    The program runs as generated code (:mod:`repro.runtime.lower`);
+    this class drives it and supplies what the generated code calls:
+    memory and indirection helpers and the synchronization builtins.
+    """
+
+    private_base = PRIVATE_BASE
 
     def __init__(
         self,
@@ -142,53 +112,52 @@ class Interpreter:
             len(self.trace)
         )
         self.heap_cursor = HEAP_BASE
-        self.arena_cursors: dict[int, int] = {}
+        self.arena_cursors: dict[tuple, int] = {}
         #: pointer-cell addr -> owning pid (indirection bookkeeping)
         self.indirect_owner: dict[int, int] = {}
         self.output: list[str] = []
         self.exit_value: Optional[int] = None
         #: (addr, size, label) for alloc()ed objects, for miss attribution
         self.heap_segments: list[tuple[int, int, str]] = []
-        self._spawned = 0
-        self._procs_by_pid: dict[int, Proc] = {}
-        #: id(expr) -> expression provably reaches no scheduling point
-        #: (see _yield_free); id() keys are safe because the AST is
-        #: pinned by ``checked`` for the interpreter's lifetime.
-        self._yf_cache: dict[int, bool] = {}
-        self._fast_enabled = os.environ.get(_FAST_ENV, "1").strip().lower() not in (
-            "0", "off", "no", "false",
-        )
+        #: C function name -> its generated generator function (set when
+        #: the program is bound)
+        self._funcs: dict = {}
 
     # ------------------------------------------------------------------
-    # public API
+    # run driver
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        main_proc = Proc(pid=-1)
-        main_proc.priv_cursor = PRIVATE_BASE
-        main_proc.gen = self._main_gen(main_proc)
-        self.sched.add(main_proc)
-        self._procs_by_pid[-1] = main_proc
-        self.sched.run()
-        return RunResult(
-            trace=self.trace.freeze(),
-            nprocs=self.nprocs,
-            work={p.pid: p.work for p in self.sched.procs},
-            private_refs={p.pid: p.private_refs for p in self.sched.procs},
-            shared_refs={p.pid: p.shared_refs for p in self.sched.procs},
-            output=self.output,
-            exit_value=self.exit_value,
-            heap_segments=list(self.heap_segments),
-            sched=self.sched.stats(),
-            phase_marks=list(self.phase_marks),
-        )
+        from repro.obs import spans as obs
 
-    def _main_gen(self, proc: Proc) -> Iterator:
-        main = self.checked.symtab.funcs["main"].defn
-        try:
-            yield from self._call_function(proc, main, [])
-        except _Return as r:  # pragma: no cover - _call_function catches
-            self.exit_value = r.value
+        with obs.span("interp.run", nprocs=self.nprocs) as sp:
+            t0 = time.perf_counter()
+            with obs.span("interp.lower"):
+                self._funcs = lower.bind(self)
+            main_proc = Proc(pid=-1)
+            main_proc.priv_cursor = PRIVATE_BASE
+            main_proc.gen = self._funcs["main"](main_proc)
+            self.sched.add(main_proc)
+            self.sched.run()
+            result = RunResult(
+                trace=self.trace.freeze(),
+                nprocs=self.nprocs,
+                work={p.pid: p.work for p in self.sched.procs},
+                private_refs={p.pid: p.private_refs for p in self.sched.procs},
+                shared_refs={p.pid: p.shared_refs for p in self.sched.procs},
+                output=self.output,
+                exit_value=self.exit_value,
+                heap_segments=list(self.heap_segments),
+                sched=self.sched.stats(),
+                phase_marks=list(self.phase_marks),
+            )
+            if sp is not None:
+                refs = len(self.trace)
+                sp.meta["trace_len"] = refs
+                sp.meta["refs_per_s"] = round(
+                    refs / max(time.perf_counter() - t0, 1e-9)
+                )
+        return result
 
     # ------------------------------------------------------------------
     # memory primitives
@@ -202,151 +171,63 @@ class Interpreter:
             self.trace.append(proc.cpu, addr, size, is_write)
 
     def _load_raw(self, proc: Proc, addr: int, ty: T.CType):
-        self._ref(proc, addr, self._scalar_size(ty), False)
+        self._ref(proc, addr, lower.scalar_size(ty), False)
         return self.mem.get(addr, _default_for(ty))
 
     def _store_raw(self, proc: Proc, addr: int, ty: T.CType, value) -> None:
-        self._ref(proc, addr, self._scalar_size(ty), True)
+        self._ref(proc, addr, lower.scalar_size(ty), True)
         self.mem[addr] = value
 
-    @staticmethod
-    def _scalar_size(ty: T.CType) -> int:
-        if isinstance(ty, (T.ArrayType, T.StructType)):  # pragma: no cover
-            return 8
-        return ty.size
+    def _frame_alloc(self, proc: Proc, ty: T.CType) -> int:
+        size = max(self.layout.sizeof(ty), 1)
+        align = max(self.layout.alignof(ty), 1)
+        proc.priv_cursor = (proc.priv_cursor + align - 1) // align * align
+        addr = proc.priv_cursor
+        proc.priv_cursor += size
+        return addr
+
+    def _alloc_obj(self, e, count: int) -> int:
+        assert e.elem_type is not None
+        size = self.layout.sizeof(e.elem_type) * max(count, 1)
+        align = max(self.layout.alignof(e.elem_type), 8)
+        self.heap_cursor = (self.heap_cursor + align - 1) // align * align
+        addr = self.heap_cursor
+        self.heap_cursor += size
+        self.heap_segments.append((addr, size, f"heap:{e.type_name}"))
+        return addr
 
     # ------------------------------------------------------------------
-    # places
+    # indirection
     # ------------------------------------------------------------------
 
-    def _materialize(self, place: Place) -> tuple[int, T.CType]:
-        if isinstance(place, RawPlace):
-            return place.addr, place.ty
-        addr, ty = self.layout.materialize(place.base, place.steps)
-        return addr, ty
+    def _apply_field(self, proc: Proc, cell: int, key: tuple[str, str]) -> int:
+        """Follow the pointer cell of an indirected field (``key`` is
+        ``(struct, field)``) and return the address of the value.
 
-    def _load_place(self, proc: Proc, place: Place):
-        addr, ty = self._materialize(place)
-        return self._load_raw(proc, addr, ty)
-
-    def _store_place(self, proc: Proc, place: Place, value) -> None:
-        addr, ty = self._materialize(place)
-        if isinstance(ty, T.IntType) and isinstance(value, float):  # pragma: no cover
-            value = int(value)
-        self._store_raw(proc, addr, ty, value)
-
-    # ------------------------------------------------------------------
-    # lvalue evaluation (generators: calls inside indices may synchronize)
-    # ------------------------------------------------------------------
-
-    def _eval_place(self, proc: Proc, frame: dict, e: A.Expr) -> Iterator:
-        """Yield-driven evaluation of an lvalue to a Place (generator
-        *returns* the Place)."""
-        if self._fast_ok(e):
-            return self._fast_eval_place(proc, frame, e)
-        proc.work += 1
-        if isinstance(e, A.Ident):
-            sym = self.checked.symtab.ident_symbols.get(id(e))
-            if sym is not None and sym.is_shared:
-                return StaticPlace(e.name, [], sym.type)
-            cell = frame.get(e.name)
-            if cell is None:
-                raise RuntimeFault(f"unbound local {e.name!r}", e.loc)
-            return RawPlace(cell[0], cell[1])
-        if isinstance(e, A.Index):
-            base = yield from self._eval_place(proc, frame, e.base)
-            idx = yield from self._eval(proc, frame, e.index)
-            idx = int(idx)
-            bty = base.ty
-            if isinstance(bty, T.ArrayType):
-                if not (0 <= idx < bty.dims[0]):
-                    raise RuntimeFault(
-                        f"index {idx} out of bounds [0, {bty.dims[0]}) ", e.loc
-                    )
-                inner = (
-                    T.ArrayType(bty.elem, bty.dims[1:])
-                    if len(bty.dims) > 1
-                    else bty.elem
-                )
-                if isinstance(base, StaticPlace):
-                    return StaticPlace(
-                        base.base, base.steps + [("idx", idx)], inner
-                    )
-                return RawPlace(
-                    base.addr + idx * self.layout.sizeof(inner), inner
-                )
-            if isinstance(bty, T.PointerType):
-                ptr = self._load_place(proc, base)
-                self._check_ptr(ptr, e)
-                target = bty.target
-                return RawPlace(
-                    int(ptr) + idx * self.layout.sizeof(target), target
-                )
-            raise RuntimeFault(f"cannot index {bty}", e.loc)  # pragma: no cover
-        if isinstance(e, A.Member):
-            if e.arrow:
-                base = yield from self._eval_place(proc, frame, e.base)
-                ptr = self._load_place(proc, base)
-                self._check_ptr(ptr, e)
-                bty = base.ty
-                assert isinstance(bty, T.PointerType)
-                struct = bty.target
-                assert isinstance(struct, T.StructType)
-                place: Place = RawPlace(int(ptr), struct)
-                return self._apply_field(proc, place, struct, e.name, e)
-            base = yield from self._eval_place(proc, frame, e.base)
-            struct = base.ty
-            assert isinstance(struct, T.StructType)
-            return self._apply_field(proc, base, struct, e.name, e)
-        if isinstance(e, A.UnOp) and e.op == "*":
-            base = yield from self._eval_place(proc, frame, e.operand)
-            ptr = self._load_place(proc, base)
-            self._check_ptr(ptr, e)
-            bty = base.ty
-            assert isinstance(bty, T.PointerType)
-            return RawPlace(int(ptr), bty.target)
-        raise RuntimeFault(
-            f"not an lvalue: {type(e).__name__}", e.loc
-        )  # pragma: no cover - checker rejects
-
-    def _check_ptr(self, ptr, e: A.Expr) -> None:
-        if not ptr:
-            raise RuntimeFault("null pointer dereference", e.loc)
-
-    def _apply_field(
-        self, proc: Proc, place: Place, struct: T.StructType, fname: str, e: A.Expr
-    ) -> Place:
-        fld = self.layout.field_of(struct.name, fname)
-        if self.layout.is_indirected(struct.name, fname):
-            base_addr, _ = self._materialize(place)
-            cell = base_addr + fld.offset
-            assert isinstance(fld.type, T.PointerType)
-            orig_ty = fld.type.target
-            slot = self.mem.get(cell, 0)
-            self._ref(proc, cell, _POINTER_SIZE, False)  # pointer load
-            if not slot:
-                slot = self._arena_alloc(proc.pid, orig_ty, struct.name, fname)
-                self.mem[cell] = slot
-                self.indirect_owner[cell] = proc.pid
-                self._ref(proc, cell, _POINTER_SIZE, True)
-            elif (
-                proc.pid >= 0
-                and self.indirect_owner.get(cell) == -1
-            ):
-                # migrate from main's staging arena to this worker's arena
-                new_slot = self._arena_alloc(
-                    proc.pid, orig_ty, struct.name, fname
-                )
-                value = self._load_raw(proc, int(slot), orig_ty)
-                self._store_raw(proc, new_slot, orig_ty, value)
-                self.mem[cell] = new_slot
-                self.indirect_owner[cell] = proc.pid
-                self._ref(proc, cell, _POINTER_SIZE, True)
-                slot = new_slot
-            return RawPlace(int(slot), orig_ty)
-        if isinstance(place, StaticPlace):
-            return StaticPlace(place.base, place.steps + [("field", fname)], fld.type)
-        return RawPlace(place.addr + fld.offset, fld.type)
+        On first access the accessing process installs a slot in its own
+        arena; a slot installed by the serial parent (main) is migrated to
+        the first worker that touches it."""
+        struct_name, field_name = key
+        fld = self.layout.field_of(struct_name, field_name)
+        assert isinstance(fld.type, T.PointerType)
+        orig_ty = fld.type.target
+        slot = self.mem.get(cell, 0)
+        self._ref(proc, cell, _POINTER_SIZE, False)  # pointer load
+        if not slot:
+            slot = self._arena_alloc(proc.pid, orig_ty, struct_name, field_name)
+            self.mem[cell] = slot
+            self.indirect_owner[cell] = proc.pid
+            self._ref(proc, cell, _POINTER_SIZE, True)
+        elif proc.pid >= 0 and self.indirect_owner.get(cell) == -1:
+            # migrate from main's staging arena to this worker's arena
+            new_slot = self._arena_alloc(proc.pid, orig_ty, struct_name, field_name)
+            value = self._load_raw(proc, int(slot), orig_ty)
+            self._store_raw(proc, new_slot, orig_ty, value)
+            self.mem[cell] = new_slot
+            self.indirect_owner[cell] = proc.pid
+            self._ref(proc, cell, _POINTER_SIZE, True)
+            slot = new_slot
+        return int(slot)
 
     def _arena_alloc(
         self, pid: int, ty: T.CType, struct_name: str, field_name: str
@@ -361,338 +242,59 @@ class Interpreter:
         self.arena_cursors[key] = cursor + size
         return cursor
 
-    # ------------------------------------------------------------------
-    # expression evaluation
-    # ------------------------------------------------------------------
-    #
-    # Two evaluators share every helper and must stay behaviourally
-    # identical:
-    #
-    # * ``_eval``/``_eval_place`` — generators, so a call inside a
-    #   subexpression can reach a scheduling point (barrier, lock,
-    #   user function);
-    # * ``_fast_eval``/``_fast_eval_place`` — plain recursion for the
-    #   (overwhelmingly common) expressions ``_yield_free`` proves can
-    #   never yield.  Generator frames dominate interpretation cost, so
-    #   the hot loops of every kernel run on this path.
-    #
-    # Both increment ``proc.work`` once per visited node and issue
-    # ``_ref`` traffic through the same helpers in the same order, so
-    # the emitted trace and all counters are bit-identical either way
-    # (asserted by tests/test_interpreter_fastpath.py).
-
-    def _yield_free(self, e: A.Expr) -> bool:
-        """True when evaluating ``e`` can never reach a yield: every
-        call in the tree is a pure builtin or ``nprocs()``."""
-        got = self._yf_cache.get(id(e))
-        if got is None:
-            got = self._yf_cache[id(e)] = self._compute_yield_free(e)
-        return got
-
-    def _compute_yield_free(self, e: A.Expr) -> bool:
-        if isinstance(e, (A.IntLit, A.FloatLit, A.Ident)):
-            return True
-        if isinstance(e, A.Index):
-            return self._yield_free(e.base) and self._yield_free(e.index)
-        if isinstance(e, A.Member):
-            return self._yield_free(e.base)
-        if isinstance(e, A.UnOp):
-            return self._yield_free(e.operand)
-        if isinstance(e, A.BinOp):
-            return self._yield_free(e.left) and self._yield_free(e.right)
-        if isinstance(e, A.Call):
-            if e.name not in PURE_IMPLS and e.name != "nprocs":
-                return False
-            return all(self._yield_free(a) for a in e.args)
-        if isinstance(e, A.Alloc):
-            return e.count is None or self._yield_free(e.count)
-        return False
-
-    def _fast_ok(self, e: A.Expr) -> bool:
-        return self._fast_enabled and self._yield_free(e)
-
-    def _fast_eval(self, proc: Proc, frame: dict, e: A.Expr):
-        """Non-generator mirror of ``_eval`` for yield-free trees."""
-        proc.work += 1
-        if isinstance(e, A.IntLit):
-            return e.value
-        if isinstance(e, A.FloatLit):
-            return e.value
-        if isinstance(e, (A.Ident, A.Index, A.Member)):
-            place = self._fast_eval_place(proc, frame, e)
-            return self._load_place(proc, place)
-        if isinstance(e, A.BinOp):
-            op = e.op
-            if op == "&&":
-                if not self._fast_eval(proc, frame, e.left):
-                    return 0
-                return 1 if self._fast_eval(proc, frame, e.right) else 0
-            if op == "||":
-                if self._fast_eval(proc, frame, e.left):
-                    return 1
-                return 1 if self._fast_eval(proc, frame, e.right) else 0
-            a = self._fast_eval(proc, frame, e.left)
-            b = self._fast_eval(proc, frame, e.right)
-            return self._binop_value(e, a, b)
-        if isinstance(e, A.UnOp):
-            if e.op == "-":
-                return -self._fast_eval(proc, frame, e.operand)
-            if e.op == "!":
-                return 0 if self._fast_eval(proc, frame, e.operand) else 1
-            if e.op == "*":
-                place = self._fast_eval_place(proc, frame, e)
-                return self._load_place(proc, place)
-            if e.op == "&":
-                place = self._fast_eval_place(proc, frame, e.operand)
-                addr, _ = self._materialize(place)
-                return addr
-        if isinstance(e, A.Call):
-            impl = PURE_IMPLS.get(e.name)
-            if impl is not None:
-                return impl(
-                    *[self._fast_eval(proc, frame, a) for a in e.args]
-                )
-            return self.nprocs  # _yield_free admits only nprocs() here
-        if isinstance(e, A.Alloc):
-            count = 1
-            if e.count is not None:
-                count = int(self._fast_eval(proc, frame, e.count))
-                if count < 0:
-                    raise RuntimeFault("negative alloc_array count", e.loc)
-            return self._alloc_obj(e, count)
-        raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.loc)  # pragma: no cover
-
-    def _fast_eval_place(self, proc: Proc, frame: dict, e: A.Expr) -> Place:
-        """Non-generator mirror of ``_eval_place``."""
-        proc.work += 1
-        if isinstance(e, A.Ident):
-            sym = self.checked.symtab.ident_symbols.get(id(e))
-            if sym is not None and sym.is_shared:
-                return StaticPlace(e.name, [], sym.type)
-            cell = frame.get(e.name)
-            if cell is None:
-                raise RuntimeFault(f"unbound local {e.name!r}", e.loc)
-            return RawPlace(cell[0], cell[1])
-        if isinstance(e, A.Index):
-            base = self._fast_eval_place(proc, frame, e.base)
-            idx = int(self._fast_eval(proc, frame, e.index))
-            bty = base.ty
-            if isinstance(bty, T.ArrayType):
-                if not (0 <= idx < bty.dims[0]):
-                    raise RuntimeFault(
-                        f"index {idx} out of bounds [0, {bty.dims[0]}) ", e.loc
-                    )
-                inner = (
-                    T.ArrayType(bty.elem, bty.dims[1:])
-                    if len(bty.dims) > 1
-                    else bty.elem
-                )
-                if isinstance(base, StaticPlace):
-                    return StaticPlace(
-                        base.base, base.steps + [("idx", idx)], inner
-                    )
-                return RawPlace(
-                    base.addr + idx * self.layout.sizeof(inner), inner
-                )
-            if isinstance(bty, T.PointerType):
-                ptr = self._load_place(proc, base)
-                self._check_ptr(ptr, e)
-                target = bty.target
-                return RawPlace(
-                    int(ptr) + idx * self.layout.sizeof(target), target
-                )
-            raise RuntimeFault(f"cannot index {bty}", e.loc)  # pragma: no cover
-        if isinstance(e, A.Member):
-            base = self._fast_eval_place(proc, frame, e.base)
-            if e.arrow:
-                ptr = self._load_place(proc, base)
-                self._check_ptr(ptr, e)
-                bty = base.ty
-                assert isinstance(bty, T.PointerType)
-                struct = bty.target
-                assert isinstance(struct, T.StructType)
-                base = RawPlace(int(ptr), struct)
-            else:
-                struct = base.ty
-                assert isinstance(struct, T.StructType)
-            return self._apply_field(proc, base, struct, e.name, e)
-        if isinstance(e, A.UnOp) and e.op == "*":
-            base = self._fast_eval_place(proc, frame, e.operand)
-            ptr = self._load_place(proc, base)
-            self._check_ptr(ptr, e)
-            bty = base.ty
-            assert isinstance(bty, T.PointerType)
-            return RawPlace(int(ptr), bty.target)
-        raise RuntimeFault(
-            f"not an lvalue: {type(e).__name__}", e.loc
-        )  # pragma: no cover - checker rejects
-
-    def _eval(self, proc: Proc, frame: dict, e: A.Expr) -> Iterator:
-        if self._fast_ok(e):
-            return self._fast_eval(proc, frame, e)
-        proc.work += 1
-        if isinstance(e, A.IntLit):
-            return e.value
-        if isinstance(e, A.FloatLit):
-            return e.value
-        if isinstance(e, (A.Ident, A.Index, A.Member)):
-            place = yield from self._eval_place(proc, frame, e)
-            return self._load_place(proc, place)
-        if isinstance(e, A.BinOp):
-            return (yield from self._eval_binop(proc, frame, e))
-        if isinstance(e, A.UnOp):
-            if e.op == "-":
-                v = yield from self._eval(proc, frame, e.operand)
-                return -v
-            if e.op == "!":
-                v = yield from self._eval(proc, frame, e.operand)
-                return 0 if v else 1
-            if e.op == "*":
-                place = yield from self._eval_place(proc, frame, e)
-                return self._load_place(proc, place)
-            if e.op == "&":
-                place = yield from self._eval_place(proc, frame, e.operand)
-                addr, _ = self._materialize(place)
-                return addr
-        if isinstance(e, A.Call):
-            return (yield from self._eval_call(proc, frame, e))
-        if isinstance(e, A.Alloc):
-            count = 1
-            if e.count is not None:
-                count = int((yield from self._eval(proc, frame, e.count)))
-                if count < 0:
-                    raise RuntimeFault("negative alloc_array count", e.loc)
-            return self._alloc_obj(e, count)
-        raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.loc)  # pragma: no cover
-
-    def _alloc_obj(self, e: A.Alloc, count: int) -> int:
-        assert e.elem_type is not None
-        size = self.layout.sizeof(e.elem_type) * max(count, 1)
-        align = max(self.layout.alignof(e.elem_type), 8)
-        self.heap_cursor = (self.heap_cursor + align - 1) // align * align
-        addr = self.heap_cursor
-        self.heap_cursor += size
-        self.heap_segments.append((addr, size, f"heap:{e.type_name}"))
+    def _walk(self, proc: Proc, chain: int, idxs: tuple, upto: int) -> int:
+        """Address after the first ``upto`` steps of static access path
+        ``chain`` (see :mod:`repro.runtime.lower`) at index values
+        ``idxs``, for a layout that indirects a field on the path: the
+        path is placed statically up to the first indirected field, whose
+        pointer cell sits in that placement, and followed as a raw
+        address after it."""
+        layout = self.layout
+        base, steps = self.checked.lowered.chains[chain]
+        static: list[tuple[str, object]] = []
+        ty = layout.global_info(base).type
+        addr: int | None = None
+        it = iter(idxs)
+        for step in steps[:upto]:
+            if step[0] == "idx":
+                i = next(it)
+                ty = T.ArrayType(ty.elem, ty.dims[1:]) if len(ty.dims) > 1 else ty.elem
+                if addr is None:
+                    static.append(("idx", i))
+                else:
+                    addr += i * layout.sizeof(ty)
+                continue
+            key = (step[1], step[2])
+            fld = layout.field_of(*key)
+            indirected = layout.is_indirected(*key)
+            if addr is None and not indirected:
+                static.append(("field", key[1]))
+                ty = fld.type
+                continue
+            if addr is None:
+                addr, _ = layout.materialize(base, static)
+            addr += fld.offset
+            ty = fld.type
+            if indirected:
+                addr = self._apply_field(proc, addr, key)
+                ty = fld.type.target
+        if addr is None:
+            addr, _ = layout.materialize(base, static)
         return addr
 
-    def _eval_binop(self, proc: Proc, frame: dict, e: A.BinOp) -> Iterator:
-        op = e.op
-        if op == "&&":
-            left = yield from self._eval(proc, frame, e.left)
-            if not left:
-                return 0
-            right = yield from self._eval(proc, frame, e.right)
-            return 1 if right else 0
-        if op == "||":
-            left = yield from self._eval(proc, frame, e.left)
-            if left:
-                return 1
-            right = yield from self._eval(proc, frame, e.right)
-            return 1 if right else 0
-        a = yield from self._eval(proc, frame, e.left)
-        b = yield from self._eval(proc, frame, e.right)
-        return self._binop_value(e, a, b)
-
-    @staticmethod
-    def _binop_value(e: A.BinOp, a, b):
-        """Strict (non-short-circuit) binary arithmetic, shared by the
-        generator and fast evaluators."""
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise RuntimeFault("division by zero", e.loc)
-            if isinstance(e.ty, T.IntType):
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
-            return a / b
-        if op == "%":
-            if b == 0:
-                raise RuntimeFault("modulo by zero", e.loc)
-            q = abs(a) // abs(b)
-            q = q if (a >= 0) == (b >= 0) else -q
-            return a - q * b
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
-        raise RuntimeFault(f"unknown operator {op!r}", e.loc)  # pragma: no cover
-
     # ------------------------------------------------------------------
-    # calls and synchronization
+    # processes and synchronization
     # ------------------------------------------------------------------
-
-    def _eval_call(self, proc: Proc, frame: dict, e: A.Call) -> Iterator:
-        name = e.name
-        impl = PURE_IMPLS.get(name)
-        if impl is not None:
-            args = []
-            for a in e.args:
-                args.append((yield from self._eval(proc, frame, a)))
-            return impl(*args)
-        if name == "nprocs":
-            return self.nprocs
-        if name == "print":
-            parts = []
-            for a in e.args:
-                parts.append(str((yield from self._eval(proc, frame, a))))
-            self.output.append(" ".join(parts))
-            return None
-        if name == "barrier":
-            yield from self._builtin_barrier(proc)
-            return None
-        if name == "lock":
-            yield from self._builtin_lock(proc, frame, e.args[0], acquire=True)
-            return None
-        if name == "unlock":
-            yield from self._builtin_lock(proc, frame, e.args[0], acquire=False)
-            return None
-        if name == "create":
-            pid_val = yield from self._eval(proc, frame, e.args[1])
-            target = e.args[0]
-            assert isinstance(target, A.Ident)
-            self._spawn(target.name, int(pid_val))
-            return None
-        if name == "wait_for_end":
-            yield from self._builtin_join(proc)
-            return None
-        fsym = self.checked.symtab.funcs.get(name)
-        if fsym is None:  # pragma: no cover - checker rejects
-            raise RuntimeFault(f"unknown function {name!r}", e.loc)
-        args = []
-        for a in e.args:
-            args.append((yield from self._eval(proc, frame, a)))
-        return (yield from self._call_function(proc, fsym.defn, args))
 
     def _spawn(self, func_name: str, pid_val: int) -> None:
-        fn = self.checked.symtab.funcs[func_name].defn
         # cpu starts at pid (owner-computes); only the stealing
         # scheduler ever moves it, so rr traces are unchanged.
         worker = Proc(pid=pid_val, cpu=pid_val)
         worker.priv_cursor = PRIVATE_BASE + (pid_val + 2) * PRIVATE_STRIDE
-        worker.gen = self._worker_gen(worker, fn, pid_val)
+        worker.gen = self._funcs[func_name](worker, pid_val, spawned=True)
         self.sched.add(worker)
-        self._procs_by_pid[pid_val] = worker
-        self._spawned += 1
 
-    def _worker_gen(self, proc: Proc, fn: A.FuncDef, arg: int) -> Iterator:
-        yield  # first step happens under the scheduler, not at spawn time
-        yield from self._call_function(proc, fn, [arg])
-
-    def _builtin_barrier(self, proc: Proc) -> Iterator:
+    def _barrier(self, proc: Proc):
         # arrive: RMW on the barrier word
         self._ref(proc, BARRIER_ADDR, 8, False)
         self._ref(proc, BARRIER_ADDR, 8, True)
@@ -706,23 +308,7 @@ class Interpreter:
         # observe the release
         self._ref(proc, BARRIER_ADDR, 8, False)
 
-    def _builtin_lock(
-        self, proc: Proc, frame: dict, arg: A.Expr, acquire: bool
-    ) -> Iterator:
-        if isinstance(arg, A.UnOp) and arg.op == "&":
-            place = yield from self._eval_place(proc, frame, arg.operand)
-            addr, _ = self._materialize(place)
-        else:
-            addr = int((yield from self._eval(proc, frame, arg)))
-        if not acquire:
-            owner = self.sched.locks.get(addr)
-            if owner != proc.pid:
-                raise RuntimeFault(
-                    f"unlock of lock at {addr:#x} not held by pid {proc.pid}"
-                )
-            del self.sched.locks[addr]
-            self._ref(proc, addr, 8, True)
-            return
+    def _lock(self, proc: Proc, addr: int):
         while True:
             owner = self.sched.locks.get(addr)
             if owner is None:
@@ -738,157 +324,20 @@ class Interpreter:
             yield
             proc.blocked_on = None
 
-    def _builtin_join(self, proc: Proc) -> Iterator:
+    def _unlock(self, proc: Proc, addr: int) -> None:
+        owner = self.sched.locks.get(addr)
+        if owner != proc.pid:
+            raise RuntimeFault(
+                f"unlock of lock at {addr:#x} not held by pid {proc.pid}"
+            )
+        del self.sched.locks[addr]
+        self._ref(proc, addr, 8, True)
+
+    def _join(self, proc: Proc):
         while any(not p.done for p in self.sched.workers()):
             proc.blocked_on = ("join",)
             yield
             proc.blocked_on = None
-
-    # ------------------------------------------------------------------
-    # statements
-    # ------------------------------------------------------------------
-
-    def _call_function(self, proc: Proc, fn: A.FuncDef, args: list) -> Iterator:
-        frame: dict[str, tuple[int, T.CType]] = {}
-        for param, value in zip(fn.params, args):
-            addr = self._frame_alloc(proc, param.type)
-            frame[param.name] = (addr, param.type)
-            self.mem[addr] = value
-        try:
-            yield from self._exec_block(proc, frame, fn.body)
-        except _Return as r:
-            if fn.name == "main":
-                self.exit_value = r.value
-            return r.value
-        if fn.name == "main":
-            self.exit_value = 0
-        return _default_for(fn.ret) if not isinstance(fn.ret, T.VoidType) else None
-
-    def _frame_alloc(self, proc: Proc, ty: T.CType) -> int:
-        size = max(self.layout.sizeof(ty), 1)
-        align = max(self.layout.alignof(ty), 1)
-        proc.priv_cursor = (proc.priv_cursor + align - 1) // align * align
-        addr = proc.priv_cursor
-        proc.priv_cursor += size
-        return addr
-
-    def _exec_block(self, proc: Proc, frame: dict, block: A.Block) -> Iterator:
-        for stmt in block.body:
-            yield from self._exec_stmt(proc, frame, stmt)
-
-    def _exec_stmt(self, proc: Proc, frame: dict, stmt: A.Stmt) -> Iterator:
-        yield  # statement boundary: scheduling point
-        proc.work += 1
-        if isinstance(stmt, A.Block):
-            yield from self._exec_block(proc, frame, stmt)
-        elif isinstance(stmt, A.VarDecl):
-            addr = self._frame_alloc(proc, stmt.type)
-            frame[stmt.name] = (addr, stmt.type)
-            if stmt.init is not None:
-                if self._fast_ok(stmt.init):
-                    value = self._fast_eval(proc, frame, stmt.init)
-                else:
-                    value = yield from self._eval(proc, frame, stmt.init)
-                self.mem[addr] = self._coerce(stmt.type, value)
-                proc.private_refs += 1
-            else:
-                self.mem[addr] = _default_for(stmt.type)
-        elif isinstance(stmt, A.Assign):
-            yield from self._exec_assign(proc, frame, stmt)
-        elif isinstance(stmt, A.ExprStmt):
-            if self._fast_ok(stmt.expr):
-                self._fast_eval(proc, frame, stmt.expr)
-            else:
-                yield from self._eval(proc, frame, stmt.expr)
-        elif isinstance(stmt, A.If):
-            if self._fast_ok(stmt.cond):
-                cond = self._fast_eval(proc, frame, stmt.cond)
-            else:
-                cond = yield from self._eval(proc, frame, stmt.cond)
-            if cond:
-                yield from self._exec_stmt(proc, frame, stmt.then)
-            elif stmt.orelse is not None:
-                yield from self._exec_stmt(proc, frame, stmt.orelse)
-        elif isinstance(stmt, A.While):
-            fast_cond = self._fast_ok(stmt.cond)
-            while True:
-                if fast_cond:
-                    cond = self._fast_eval(proc, frame, stmt.cond)
-                else:
-                    cond = yield from self._eval(proc, frame, stmt.cond)
-                if not cond:
-                    break
-                try:
-                    yield from self._exec_stmt(proc, frame, stmt.body)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-        elif isinstance(stmt, A.For):
-            if stmt.init is not None:
-                yield from self._exec_stmt(proc, frame, stmt.init)
-            fast_cond = stmt.cond is not None and self._fast_ok(stmt.cond)
-            while True:
-                if stmt.cond is not None:
-                    if fast_cond:
-                        cond = self._fast_eval(proc, frame, stmt.cond)
-                    else:
-                        cond = yield from self._eval(proc, frame, stmt.cond)
-                    if not cond:
-                        break
-                try:
-                    yield from self._exec_stmt(proc, frame, stmt.body)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if stmt.update is not None:
-                    yield from self._exec_stmt(proc, frame, stmt.update)
-        elif isinstance(stmt, A.Return):
-            value = None
-            if stmt.value is not None:
-                value = yield from self._eval(proc, frame, stmt.value)
-            raise _Return(value)
-        elif isinstance(stmt, A.Break):
-            raise _Break()
-        elif isinstance(stmt, A.Continue):
-            raise _Continue()
-        else:  # pragma: no cover
-            raise RuntimeFault(f"cannot execute {type(stmt).__name__}", stmt.loc)
-
-    def _exec_assign(self, proc: Proc, frame: dict, stmt: A.Assign) -> Iterator:
-        if self._fast_ok(stmt.value):
-            value = self._fast_eval(proc, frame, stmt.value)
-        else:
-            value = yield from self._eval(proc, frame, stmt.value)
-        if self._fast_ok(stmt.target):
-            place = self._fast_eval_place(proc, frame, stmt.target)
-        else:
-            place = yield from self._eval_place(proc, frame, stmt.target)
-        if stmt.op:
-            old = self._load_place(proc, place)
-            if stmt.op == "+":
-                value = old + value
-            elif stmt.op == "-":
-                value = old - value
-            elif stmt.op == "*":
-                value = old * value
-            elif stmt.op == "/":
-                if value == 0:
-                    raise RuntimeFault("division by zero", stmt.loc)
-                if isinstance(place.ty, T.IntType):
-                    q = abs(old) // abs(value)
-                    value = q if (old >= 0) == (value >= 0) else -q
-                else:
-                    value = old / value
-        addr, ty = self._materialize(place)
-        self._store_raw(proc, addr, ty, self._coerce(ty, value))
-
-    @staticmethod
-    def _coerce(ty: T.CType, value):
-        if isinstance(ty, T.DoubleType) and isinstance(value, int):
-            return float(value)
-        return value
 
 
 def run_program(
@@ -906,14 +355,7 @@ def run_program(
     ``sched`` selects the execution model (round-robin or randomized
     work stealing — see :mod:`repro.runtime.stealing`); None resolves
     the ``REPRO_SCHED`` family of environment knobs."""
-    from repro.obs import spans as obs
-
-    interp = Interpreter(
+    return Interpreter(
         checked, layout, nprocs,
         quantum=quantum, max_steps=max_steps, sched=sched,
-    )
-    with obs.span("interp.run", nprocs=nprocs) as sp:
-        result = interp.run()
-        if sp is not None:
-            sp.meta["trace_len"] = len(result.trace)
-    return result
+    ).run()

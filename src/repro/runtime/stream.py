@@ -134,6 +134,20 @@ class ChunkSink:
     def __len__(self) -> int:
         return self.total_refs + len(self._buf)
 
+    def column_appends(self) -> tuple:
+        """Column appends into the current chunk (see
+        :meth:`TraceBuffer.column_appends`); the write-flag append, which
+        completes a reference, flushes a full chunk exactly as
+        :meth:`append` does."""
+        procs, addrs, sizes, writes = self._buf.column_appends()
+
+        def write(flag: int) -> None:
+            writes(flag)
+            if len(self._buf) >= self._chunk_refs:
+                self.flush()
+
+        return procs, addrs, sizes, write
+
     @property
     def nbytes(self) -> int:
         return self._buf.nbytes
@@ -142,7 +156,7 @@ class ChunkSink:
         if len(self._buf) == 0:
             return
         chunk = self._buf.freeze()
-        self._buf = TraceBuffer()
+        self._buf.clear()
         self.total_refs += len(chunk)
         self.chunks += 1
         self._emit(chunk)
@@ -198,6 +212,8 @@ class TraceStream:
         #: consumer loop (for the stream.produce/stream.consume spans)
         self.produce_t0 = 0.0
         self.produce_t1 = 0.0
+        #: spans the producer thread recorded (``interp.run`` and below)
+        self.produce_spans: list = []
         self.consume_t0 = 0.0
         self.consume_t1 = 0.0
 
@@ -215,7 +231,8 @@ class TraceStream:
     def _produce(self) -> None:
         self.produce_t0 = time.perf_counter()
         try:
-            self.run = self._interp.run()
+            with obs.adopt_roots(self.produce_spans):
+                self.run = self._interp.run()
         except BaseException as e:  # propagated by __iter__
             self._error = e
         finally:
@@ -339,12 +356,14 @@ def stream_simulate(
             # themselves in context-managed spans (thread-local stacks,
             # lifetimes known only after join) — stitch them in as
             # concurrent children so the profile shows the overlap.
-            sp.children.append(obs.manual_span(
+            produce = obs.manual_span(
                 "stream.produce", stream.produce_t0, stream.produce_t1,
                 chunks=stats.chunks_produced, refs=stats.refs,
                 stall_seconds=round(stats.stall_seconds, 6),
                 queue_high_water=stats.queue_high_water,
-            ))
+            )
+            produce.children += stream.produce_spans
+            sp.children.append(produce)
             sp.children.append(obs.manual_span(
                 "stream.consume", stream.consume_t0, stream.consume_t1,
                 chunks=stats.chunks_consumed, kernel=res.kernel,

@@ -48,6 +48,20 @@ class TraceBuffer:
     def __len__(self) -> int:
         return len(self.addrs)
 
+    def column_appends(self) -> tuple:
+        """The four columns' ``append`` methods (proc, addr, size, write
+        flag as 0/1), for callers that append one reference as four
+        direct calls instead of one :meth:`append`."""
+        return (
+            self.procs.append, self.addrs.append,
+            self.sizes.append, self.writes.append,
+        )
+
+    def clear(self) -> None:
+        """Empty the columns in place (bound column appends stay valid)."""
+        for col in (self.procs, self.addrs, self.sizes, self.writes):
+            del col[:]
+
     @property
     def nbytes(self) -> int:
         """Bytes held by the four columns."""

@@ -169,6 +169,128 @@ def steal_fs_within_bound(snapshot: dict) -> list[str]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Interpreter fingerprints
+# ---------------------------------------------------------------------------
+#
+# The snapshots above pin what the simulator derives from a trace; these
+# pin the interpreter itself: for every paper program version and a band
+# of generated programs, the exact reference stream (by content hash)
+# and every counter and side channel a run reports.
+
+#: Process count of the paper-program fingerprint cases.
+FINGERPRINT_NPROCS = 8
+
+#: Handwritten programs for the corners generated programs miss live in
+#: ``tests/golden/interp_programs/*.c``; each runs at
+#: :data:`FINGERPRINT_PROGEN_NPROCS` processes under the natural layout
+#: and every oracle candidate plan, round-robin and steal (seed 0).
+#:
+#: Generated programs (``verify.progen`` seeds) pinned by fingerprint,
+#: each run at :data:`FINGERPRINT_PROGEN_NPROCS` processes under the
+#: natural layout and every oracle candidate plan (round-robin), and
+#: under the natural layout with the fuzzer's per-seed steal schedule.
+FINGERPRINT_PROGEN_SEEDS = tuple(range(32))
+FINGERPRINT_PROGEN_NPROCS = 4
+
+
+def fingerprint_path(directory: Path | None = None) -> Path:
+    d = directory if directory is not None else default_golden_dir()
+    return d / "interp_fingerprints.json"
+
+
+def run_fingerprint(run) -> dict:
+    """Everything one :class:`~repro.runtime.trace.RunResult` reports,
+    with the trace folded to its content hash."""
+    def by_pid(counts: dict) -> dict:
+        return {str(pid): n for pid, n in sorted(counts.items())}
+
+    return {
+        "fingerprint": run.trace.fingerprint,
+        "refs": len(run.trace),
+        "work": by_pid(run.work),
+        "private_refs": by_pid(run.private_refs),
+        "shared_refs": by_pid(run.shared_refs),
+        "output": list(run.output),
+        "exit_value": run.exit_value,
+        "heap_segments": _digest(run.heap_segments),
+        "phase_marks": list(run.phase_marks),
+        "sched": run.sched,
+    }
+
+
+def _digest(items: list) -> dict:
+    """Count and content hash of a long list (keeps the golden small)."""
+    import hashlib
+
+    return {
+        "count": len(items),
+        "sha1": hashlib.sha1(json.dumps(items).encode()).hexdigest(),
+    }
+
+
+def fingerprint_cases() -> list[tuple[str, object]]:
+    """``(case id, thunk)`` for every pinned interpreter run; calling
+    the thunk interprets the case (never through the trace cache) and
+    returns its :class:`~repro.runtime.trace.RunResult`."""
+    from repro.errors import AnalysisError
+    from repro.lang import compile_source
+    from repro.layout.datalayout import DataLayout
+    from repro.runtime.interpreter import run_program
+    from repro.verify import oracle, progen
+    from repro.workloads.registry import ALL_WORKLOADS
+
+    cases: list[tuple[str, object]] = []
+
+    def case(cid, checked, plan, nprocs, sched):
+        def thunk():
+            layout = DataLayout(checked, plan, block_size=128, nprocs=nprocs)
+            return run_program(checked, layout, nprocs, sched=sched)
+
+        cases.append((cid, thunk))
+
+    steal = SchedConfig("steal", seed=0)
+    nprocs = FINGERPRINT_NPROCS
+    for wl in ALL_WORKLOADS:
+        pipe = Pipeline(wl.source)
+        for version in wl.versions:
+            if version == "N":
+                plan = None
+            elif version == "C":
+                plan = pipe.compiler_plan(nprocs)
+            else:
+                plan = wl.programmer_plan(pipe.analysis(nprocs))
+            for label, sched in (("rr", RR), ("steal", steal)):
+                case(f"{wl.name}/{version}/{label}", pipe.checked, plan,
+                     nprocs, sched)
+    nprocs = FINGERPRINT_PROGEN_NPROCS
+    for path in sorted((default_golden_dir() / "interp_programs").glob("*.c")):
+        checked = compile_source(path.read_text(), path.name)
+        try:
+            plans = [("N", None)] + oracle.candidate_plans(checked, nprocs, 128)
+        except AnalysisError:  # e.g. recursion: runs, but is not analyzable
+            plans = [("N", None)]
+        for label, plan in plans:
+            for sl, sched in (("rr", RR), ("steal", steal)):
+                case(f"{path.stem}/{label}/{sl}", checked, plan, nprocs, sched)
+    for seed in FINGERPRINT_PROGEN_SEEDS:
+        checked = compile_source(progen.render(progen.generate(seed)))
+        plans = [("N", None)] + oracle.candidate_plans(checked, nprocs, 128)
+        for label, plan in plans:
+            case(f"progen{seed}/{label}/rr", checked, plan, nprocs, RR)
+        case(f"progen{seed}/N/steal", checked, None, nprocs,
+             SchedConfig("steal", seed=seed))
+    return cases
+
+
+def compute_fingerprints() -> dict:
+    """The interpreter fingerprint snapshot (see :func:`fingerprint_cases`)."""
+    return {
+        "schema": SCHEMA,
+        "cases": {cid: run_fingerprint(thunk()) for cid, thunk in fingerprint_cases()},
+    }
+
+
 def dumps(snapshot: dict) -> str:
     return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
 

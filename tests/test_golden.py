@@ -118,3 +118,29 @@ def test_diff_reports_leaf_paths():
     assert any(
         "missing" in d for d in golden.diff({"x": {"y": 1, "w": 0}}, a)
     )
+
+
+def test_interpreter_fingerprints_match_golden(update_golden):
+    """Every paper program version (rr and steal) and a band of
+    generated programs under every oracle plan replay the exact trace,
+    counters, output, heap segments, phase marks and steal stats pinned
+    in ``interp_fingerprints.json``."""
+    path = golden.fingerprint_path()
+    if update_golden:
+        golden.save(golden.compute_fingerprints(), path)
+        return
+    assert path.exists(), (
+        f"interpreter fingerprints {path} missing — run pytest --update-golden"
+    )
+    expected = golden.load(path)
+    cases = golden.fingerprint_cases()
+    assert sorted(cid for cid, _ in cases) == sorted(expected["cases"])
+    diffs = []
+    for cid, thunk in cases:
+        diffs += golden.diff(
+            {cid: expected["cases"][cid]},
+            {cid: golden.run_fingerprint(thunk())},
+        )
+    assert not diffs, (
+        "interpreter diverges from its fingerprints:\n  " + "\n  ".join(diffs)
+    )

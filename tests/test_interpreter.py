@@ -150,8 +150,84 @@ class TestMemory:
             )
 
     def test_division_by_zero_faults(self):
-        with pytest.raises(RuntimeFault, match="zero"):
-            run_main("int x; x = 0; print(1 / x); return 0;")
+        # each is its own lowered code path with its own one-line fault
+        cases = [
+            ("int x; x = 0; print(1 / x); return 0;", "division by zero"),
+            ("double d; d = 0.0; print(1.0 / d); return 0;", "division by zero"),
+            ("int x; x = 0; print(7 % x); return 0;", "modulo by zero"),
+            ("int x; int y; x = 0; y = 5; y /= x; return 0;", "division by zero"),
+            ("double y; y = 5.0; y /= 0.0; return 0;", "division by zero"),
+        ]
+        for body, msg in cases:
+            with pytest.raises(RuntimeFault, match=msg) as info:
+                run_main(body)
+            assert "\n" not in str(info.value)
+
+    def test_compound_division_by_zero_on_shared_data_faults(self):
+        with pytest.raises(RuntimeFault, match="division by zero"):
+            run("int g[2];\nint main() { int z; z = 0; g[1] /= z; return 0; }")
+
+    def test_negative_alloc_array_count_faults(self):
+        with pytest.raises(RuntimeFault, match="negative alloc_array count") as info:
+            run(
+                "double *xs;\n"
+                "int main() { int n; n = 0 - 3; xs = alloc_array(double, n); return 0; }"
+            )
+        assert "\n" not in str(info.value)
+
+
+class TestIdentifiers:
+    #: C names that are Python keywords or builtins, or that name the
+    #: generated code's own parameters, helpers, temporaries and layout
+    #: constants; each must be mangled, never pasted into source raw.
+    SRC = """
+    int None;
+    int lambda[4];
+
+    int yield(int proc)
+    {
+        int mem; int t1; int T0; int ap;
+        mem = proc + 1;
+        t1 = mem * 2;
+        T0 = t1 - 1;
+        ap = T0;
+        return ap;
+    }
+
+    void worker(int I)
+    {
+        int E;
+        E = yield(I);
+        lambda[I] = E;
+    }
+
+    int main()
+    {
+        int p;
+        None = 0;
+        for (p = 0; p < nprocs(); p++) { create(worker, p); }
+        wait_for_end();
+        for (p = 0; p < nprocs(); p++) { None = None + lambda[p]; }
+        print(None);
+        return None;
+    }
+    """
+
+    def test_colliding_identifiers_run_and_match_hand_trace(self):
+        r = run(self.SRC, 2)
+        assert r.output == ["4"]  # yield(0) + yield(1) = 1 + 3
+        assert r.exit_value == 4
+        none, lam = 0x10000, 0x10004  # natural layout: declaration order
+        expected = [
+            (-1, none, 4, True),  # None = 0
+            (0, lam, 4, True),  # lambda[0] = 1
+            (1, lam + 4, 4, True),  # lambda[1] = 3
+            (-1, none, 4, False), (-1, lam, 4, False), (-1, none, 4, True),
+            (-1, none, 4, False), (-1, lam + 4, 4, False), (-1, none, 4, True),
+            (-1, none, 4, False),  # print(None)
+            (-1, none, 4, False),  # return None
+        ]
+        assert list(r.trace) == expected
 
 
 class TestParallelism:

@@ -45,6 +45,35 @@ class TestSpans:
         assert roots[0].dur >= sum(c.dur for c in roots[0].children) >= 0.0
         assert roots[0].meta == {"kind": "test"}
 
+    def test_interp_run_span_holds_lowering(self, tracing, counter_checked):
+        """Lowering happens inside Interpreter.run, in an ``interp.lower``
+        child of ``interp.run``, which reports its reference rate."""
+        from repro.layout import DataLayout
+        from repro.runtime import run_program
+
+        run = run_program(counter_checked, DataLayout(counter_checked, nprocs=2), 2)
+        (root,) = obs.roots()
+        assert root.name == "interp.run"
+        assert [c.name for c in root.children] == ["interp.lower"]
+        assert root.meta["trace_len"] == len(run.trace)
+        assert root.meta["refs_per_s"] > 0
+
+    def test_streamed_interp_spans_nest_under_producer(self, tracing, counter_checked):
+        """The producer thread's spans hang under ``stream.produce``
+        instead of becoming extra roots (which would double-count)."""
+        from repro.layout import DataLayout
+        from repro.runtime.stream import stream_simulate
+        from repro.sim import CacheConfig
+
+        layout = DataLayout(counter_checked, nprocs=2, block_size=64)
+        stream_simulate(
+            counter_checked, layout, 2, CacheConfig(size=8192, block_size=64, assoc=4),
+            chunk_refs=50,
+        )
+        (root,) = obs.roots()
+        produce = next(c for c in root.children if c.name == "stream.produce")
+        assert [c.name for c in produce.children] == ["interp.run"]
+
     def test_counter_deltas(self, tracing):
         perf.reset()
         perf.add("outside", 7)

@@ -1,7 +1,7 @@
 """Performance-engine infrastructure tests: the persistent trace
 cache, the per-trace simulation memo, the perf counters, the
-interpreter's yield-free fast path, and the parallel experiment lab's
-plan resolution."""
+interpreter's generated-code fast path, and the parallel experiment
+lab's plan resolution."""
 
 import os
 
@@ -17,6 +17,7 @@ from repro.runtime import run_program, trace_cache
 from repro.runtime.trace import Trace, TraceBuffer
 from repro.sim import CacheConfig
 from repro.sim.simcache import cached_simulate, clear
+from repro.verify import golden
 from repro.workloads.registry import SIMULATION_WORKLOADS, by_name
 
 
@@ -252,27 +253,33 @@ class TestSimMemo:
 @pytest.mark.parametrize(
     "wl", SIMULATION_WORKLOADS[:2], ids=[w.name for w in SIMULATION_WORKLOADS[:2]]
 )
-def test_interpreter_fast_path_bit_identical(wl, monkeypatch):
-    """REPRO_INTERP_FAST=0 (pure generator evaluation) and the default
-    fast path must produce identical traces and counters."""
+def test_interpreter_fast_path_bit_identical(wl):
+    """The run that lowers the program to generated code and a rerun on
+    the cached lowering produce identical traces and counters, and both
+    replay the pinned fingerprint of the natural round-robin version."""
     from repro.lang import compile_source
 
+    nprocs = golden.FINGERPRINT_NPROCS
     checked = compile_source(wl.source)
-    layout = DataLayout(checked, None, block_size=128, nprocs=4)
-    monkeypatch.setenv("REPRO_INTERP_FAST", "0")
-    slow = run_program(checked, layout, 4)
-    monkeypatch.setenv("REPRO_INTERP_FAST", "1")
-    fast = run_program(checked, layout, 4)
-    assert np.array_equal(slow.trace.proc, fast.trace.proc)
-    assert np.array_equal(slow.trace.addr, fast.trace.addr)
-    assert np.array_equal(slow.trace.size, fast.trace.size)
-    assert np.array_equal(slow.trace.is_write, fast.trace.is_write)
-    assert slow.work == fast.work
-    assert slow.private_refs == fast.private_refs
-    assert slow.shared_refs == fast.shared_refs
-    assert slow.output == fast.output
-    assert slow.exit_value == fast.exit_value
-    assert slow.heap_segments == fast.heap_segments
+    assert checked.lowered is None
+    layout = DataLayout(checked, None, block_size=128, nprocs=nprocs)
+    cold = run_program(checked, layout, nprocs)
+    lowered = checked.lowered
+    assert lowered is not None
+    warm = run_program(checked, layout, nprocs)
+    assert checked.lowered is lowered
+    assert np.array_equal(cold.trace.proc, warm.trace.proc)
+    assert np.array_equal(cold.trace.addr, warm.trace.addr)
+    assert np.array_equal(cold.trace.size, warm.trace.size)
+    assert np.array_equal(cold.trace.is_write, warm.trace.is_write)
+    assert cold.work == warm.work
+    assert cold.private_refs == warm.private_refs
+    assert cold.shared_refs == warm.shared_refs
+    assert cold.output == warm.output
+    assert cold.exit_value == warm.exit_value
+    assert cold.heap_segments == warm.heap_segments
+    expected = golden.load(golden.fingerprint_path())["cases"][f"{wl.name}/N/rr"]
+    assert golden.diff(expected, golden.run_fingerprint(cold)) == []
 
 
 # ---------------------------------------------------------------------------
