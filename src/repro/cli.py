@@ -44,9 +44,8 @@ Commands
     verified plan recommendation with per-structure attribution
     evidence, and inspect/cancel jobs (docs/SERVICE.md).
 ``artifacts``
-    Inspect and maintain the unified content-addressed artifact store
-    (trace cache, sim memo, golden snapshots): stats, legacy-layout
-    migration, prune, fsck.
+    Inspect and maintain the content-addressed artifact store (stored
+    traces and the sim memo): stats, prune, fsck.
 
 ``FILE`` arguments accept either a path to a parallel-C source file or
 the name of a registered workload (``Maxflow``, ``Water``, ...).
@@ -801,35 +800,17 @@ def cmd_jobs(args) -> int:
 
 
 def cmd_artifacts(args) -> int:
+    import os
+
     from repro.runtime import artifacts
 
-    store = artifacts.ArtifactStore(
-        args.root or artifacts.default_root()
-    )
+    store = artifacts.default_store(args.root)
+    if store is None:
+        raise ReproError(
+            f"the artifact store is off ({artifacts.ENV_ROOT}="
+            f"{os.environ.get(artifacts.ENV_ROOT)}); pass --root DIR"
+        )
     did_something = False
-    if args.migrate:
-        from repro.runtime.trace_cache import cache_dir
-        from repro.verify.golden import default_golden_dir
-
-        report = artifacts.migrate_legacy(
-            store,
-            trace_dir=Path(args.trace_dir) if args.trace_dir
-            else cache_dir(),
-            sim_memo_dir=Path(args.sim_memo_dir) if args.sim_memo_dir
-            else None,
-            golden_dir=Path(args.golden_dir) if args.golden_dir
-            else default_golden_dir(),
-            move=args.move,
-        )
-        print(
-            "[migrated: "
-            f"{report[artifacts.NS_TRACE]} traces, "
-            f"{report[artifacts.NS_SIM]} sim memos, "
-            f"{report[artifacts.NS_GOLDEN]} goldens, "
-            f"{report['skipped']} already present]",
-            file=sys.stderr,
-        )
-        did_something = True
     if args.prune:
         dropped = store.prune()
         print(f"[pruned {dropped} entries]", file=sys.stderr)
@@ -1245,8 +1226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "artifacts",
-        help="inspect/maintain the unified content-addressed artifact "
-        "store",
+        help="inspect/maintain the content-addressed artifact store "
+        "(stored traces and the sim memo)",
     )
     p.add_argument("--root", metavar="DIR", default=None,
                    help="store root (default: $REPRO_ARTIFACTS or "
@@ -1254,19 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="entry/byte counts per namespace (the default "
                    "action)")
-    p.add_argument("--migrate", action="store_true",
-                   help="import the legacy flat trace-cache, sim-memo "
-                   "and golden-snapshot layouts")
-    p.add_argument("--trace-dir", metavar="DIR", default=None,
-                   help="legacy trace-cache directory (default: the "
-                   "active trace-cache root)")
-    p.add_argument("--sim-memo-dir", metavar="DIR", default=None,
-                   help="legacy flat sim-memo directory")
-    p.add_argument("--golden-dir", metavar="DIR", default=None,
-                   help="golden snapshot directory (default: "
-                   "tests/golden)")
-    p.add_argument("--move", action="store_true",
-                   help="move (not copy) migrated files into the store")
     p.add_argument("--prune", action="store_true",
                    help="delete every entry")
     p.add_argument("--fsck", action="store_true",

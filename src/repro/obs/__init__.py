@@ -46,7 +46,6 @@ from repro.obs.manifest import (
     read_all,
     record,
     sim_record,
-    upgrade_record,
 )
 from repro.obs.spans import (
     PROFILE_ENV,
@@ -126,7 +125,6 @@ __all__ = [
     "read_all",
     "record",
     "sim_record",
-    "upgrade_record",
     *sorted(_HISTORY_EXPORTS),
     "PROFILE_ENV",
     "Span",

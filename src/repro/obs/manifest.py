@@ -36,12 +36,8 @@ Schema 3 (one JSON object per line)::
       "spans": {"pipeline.execute": 0.81, ...}  # seconds per span name
     }
 
-Schema 1 records lack ``kernel``/``chunk_size``/``stream``; schema 2
-records lack the machine identity (``name``/``protocol``/``line_size``
-— every pre-3 record simulated the hard-coded KSR2 MSI geometry) and
-the ``dynamic`` repair counters.  :func:`upgrade_record` fills the
-gaps for both vintages, and the readers here (and the manifest store's
-ingest path) upgrade rather than reject them.
+Records of any other schema are not read: :func:`read_all` skips
+them and the manifest store's ingest counts them as corrupt.
 """
 
 from __future__ import annotations
@@ -105,37 +101,6 @@ _PERF_KEYS = (
     "stream.queue_high_water",
     "parallel.points",
 )
-
-#: Fields every upgraded record is guaranteed to carry, with their
-#: schema-2 defaults (what :func:`upgrade_record` backfills for
-#: schema-1 lines).
-_SCHEMA2_DEFAULTS: dict[str, object] = {
-    "kind": "",
-    "workload": "",
-    "source_sha256": "",
-    "plan": "",
-    "nprocs": 0,
-    "block_size": 0,
-    "machine": {},
-    "kernel": None,
-    "chunk_size": None,
-    "stream": {},
-    "refs": 0,
-    "trace_len": 0,
-    "misses": {},
-    "fs_by_structure": {},
-    "perf": {},
-    "spans": {},
-}
-
-#: Schema-3 additions (what :func:`upgrade_record` backfills on top of
-#: the schema-2 shape): runtime-repair counters, plus the machine
-#: identity fields inside ``machine`` (handled specially — every
-#: schema-≤2 record ran the hard-coded KSR2 MSI geometry).
-_SCHEMA3_DEFAULTS: dict[str, object] = {
-    "dynamic": {},
-}
-
 
 def log_path() -> Path | None:
     """The active manifest log, or None when recording is off."""
@@ -279,37 +244,6 @@ def sim_record(
     )
 
 
-def upgrade_record(rec: dict) -> dict:
-    """Return ``rec`` upgraded in-shape to schema 3 (a new dict).
-
-    Schema-1 and schema-2 lines — and hand-edited or partially
-    truncated records — are never rejected: missing fields get their
-    defaults, so every consumer (the store's ingest, ``repro history``,
-    the dashboard) sees one uniform shape.  Unknown extra fields are
-    kept.  A schema-≤2 record with a cache geometry but no machine
-    identity gets ``name="ksr2"``/``protocol="msi"`` backfilled: every
-    record of that vintage ran the single hard-coded KSR2 geometry.
-    """
-    out = dict(rec)
-    for defaults in (_SCHEMA2_DEFAULTS, _SCHEMA3_DEFAULTS):
-        for key, default in defaults.items():
-            if key not in out or out[key] is None and isinstance(default, dict):
-                # copy mutable defaults so records never share dicts
-                out[key] = dict(default) if isinstance(default, dict) else default
-    mach = out.get("machine")
-    if isinstance(mach, dict) and mach and "protocol" not in mach:
-        mach = dict(mach)  # never mutate the caller's record
-        mach.setdefault("name", "ksr2")
-        mach["protocol"] = "msi"
-        if "line_size" not in mach and "block_size" in mach:
-            mach["line_size"] = mach["block_size"]
-        out["machine"] = mach
-    if "ts" not in out:
-        out["ts"] = ""
-    out["schema"] = SCHEMA
-    return out
-
-
 def record(rec: dict) -> Path | None:
     """Append ``rec`` to the run log; returns the path written, or None
     when recording is disabled or the write failed."""
@@ -325,15 +259,9 @@ def record(rec: dict) -> Path | None:
     return path
 
 
-def read_all(
-    path: str | Path | None = None, *, upgrade: bool = True
-) -> list[dict]:
-    """Every parseable record in the log (corrupt lines are skipped).
-
-    By default records are passed through :func:`upgrade_record`, so
-    callers always see the schema-2 shape regardless of when a line
-    was written; pass ``upgrade=False`` for the raw on-disk dicts.
-    """
+def read_all(path: str | Path | None = None) -> list[dict]:
+    """Every schema-3 record in the log (corrupt lines and records of
+    any other schema are skipped)."""
     p = Path(path) if path is not None else log_path()
     if p is None or not p.exists():
         return []
@@ -346,8 +274,8 @@ def read_all(
             rec = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if isinstance(rec, dict):
-            out.append(upgrade_record(rec) if upgrade else rec)
+        if isinstance(rec, dict) and rec.get("schema") == SCHEMA:
+            out.append(rec)
     return out
 
 

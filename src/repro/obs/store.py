@@ -79,7 +79,7 @@ class IngestReport:
     scanned: int = 0      # parseable records seen
     ingested: int = 0     # new records written
     duplicates: int = 0   # content-hash collisions with stored records
-    corrupt: int = 0      # unparseable / non-object lines skipped
+    corrupt: int = 0      # bad lines and non-schema-3 records skipped
     sources: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
@@ -164,13 +164,17 @@ class RunStore:
 
     def ingest_records(self, records: Iterable[dict],
                        report: Optional[IngestReport] = None) -> IngestReport:
-        """Ingest in-memory records: upgrade to schema 2, assign
-        content-hash ids, drop duplicates, append per shard, refresh
-        indexes.  One lock round-trip per batch."""
+        """Ingest in-memory records: count any record not of the current
+        manifest schema as corrupt, assign content-hash ids, drop
+        duplicates, append per shard, refresh indexes.  One lock
+        round-trip per batch."""
         report = report if report is not None else IngestReport()
         by_shard: dict[str, list[tuple[str, dict]]] = {}
         for rec in records:
-            rec = manifest.upgrade_record(rec)
+            if rec.get("schema") != manifest.SCHEMA:
+                report.corrupt += 1
+                continue
+            rec = dict(rec)
             rec.pop("id", None)
             rid = record_id(rec)
             rec["id"] = rid

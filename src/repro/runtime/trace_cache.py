@@ -9,15 +9,15 @@ scheduler quantum, step limit)`` — so the complete
 hash of those inputs, and *repeat benchmark runs skip interpretation
 entirely*.
 
-Storage now goes through the unified content-addressed artifact store
-(:mod:`repro.runtime.artifacts`, namespace ``trace``): entries live
-under ``<cache dir>/shards/<hex digit>/trace--<key>.npz`` with an
-integrity sidecar, published atomically under the store's ``flock`` so
-concurrent writers (the parallel experiment lab, service jobs) can race
-on the same key safely and eviction sweeps can never interleave with a
-publish.  Entries written by the pre-store flat layout (``<key>.npz``
-at the cache-directory top level) are adopted into the store lazily on
-first lookup, so a warm legacy cache keeps its hits.
+Entries live in the artifact store (:mod:`repro.runtime.artifacts`,
+namespace ``trace``) under ``<store root>/shards/<hex digit>/
+trace--<key>.npz`` with an integrity sidecar, published atomically
+under the store's ``flock`` so concurrent writers (the parallel
+experiment lab, service jobs) can race on the same key safely and
+eviction sweeps can never interleave with a publish.  The store's root,
+byte budget and off switch (``REPRO_ARTIFACTS``,
+``REPRO_ARTIFACTS_MAX_MB``) are the only ones: ``repro artifacts``
+counts and prunes stored traces with everything else.
 
 Small runs hold the four trace columns whole (``proc``/``addr``/
 ``size``/``is_write``); runs at or above ``REPRO_TRACE_SHARD_REFS``
@@ -31,18 +31,10 @@ scalar counters.
 Environment knobs
 -----------------
 
-``REPRO_TRACE_CACHE``
-    Cache directory.  ``0`` / ``off`` / ``no`` disables persistence
-    entirely.  Default: ``~/.cache/repro/traces``.
 ``REPRO_TRACE_CACHE_MIN``
     Minimum shared-reference count for a run to be persisted
     (default 4096) — keeps unit-test-sized runs from littering the
     cache.
-``REPRO_TRACE_CACHE_MAX_MB``
-    Size budget for the cache directory.  When a store pushes the
-    total over the budget, least-recently-*used* entries are evicted
-    (every cache hit refreshes its entry's mtime) until the directory
-    fits, logging what was dropped.  Unset/0 = unbounded.
 ``REPRO_TRACE_SHARD_REFS``
     Reference count at which a stored trace switches to chunked
     shards (default 1048576; 0 forces sharding off).
@@ -59,7 +51,6 @@ import hashlib
 import json
 import logging
 import os
-import time
 import zipfile
 from pathlib import Path
 from typing import Iterator
@@ -86,23 +77,10 @@ _REQUIRED_META = (
     "output", "exit_value", "heap_segments",
 )
 
-_ENV_DIR = "REPRO_TRACE_CACHE"
 _ENV_MIN = "REPRO_TRACE_CACHE_MIN"
-_ENV_MAX_MB = "REPRO_TRACE_CACHE_MAX_MB"
 _ENV_SHARD = "REPRO_TRACE_SHARD_REFS"
-_DISABLED = {"0", "off", "no", "none", "false"}
 
 _COLUMNS = ("proc", "addr", "size", "is_write")
-
-
-def cache_dir() -> Path | None:
-    """The active cache directory, or None when persistence is off."""
-    raw = os.environ.get(_ENV_DIR)
-    if raw is not None and raw.strip().lower() in _DISABLED:
-        return None
-    if raw:
-        return Path(raw)
-    return Path.home() / ".cache" / "repro" / "traces"
 
 
 def min_refs() -> int:
@@ -110,15 +88,6 @@ def min_refs() -> int:
         return int(os.environ.get(_ENV_MIN, "4096"))
     except ValueError:
         return 4096
-
-
-def max_bytes() -> int:
-    """The eviction budget in bytes (0 = unbounded)."""
-    try:
-        mb = float(os.environ.get(_ENV_MAX_MB, "0"))
-    except ValueError:
-        return 0
-    return int(mb * 1024 * 1024) if mb > 0 else 0
 
 
 def shard_refs() -> int:
@@ -162,19 +131,9 @@ def run_key(
 
 
 def store() -> artifacts.ArtifactStore | None:
-    """The artifact store backing this cache (namespace ``trace``),
-    rooted at the cache directory; None when persistence is off.
-
-    The byte budget is ``REPRO_TRACE_CACHE_MAX_MB`` when set, else the
-    store falls back to the generalized ``REPRO_ARTIFACTS_MAX_MB``.
-    """
-    root = cache_dir()
-    if root is None:
-        return None
-    budget = max_bytes()
-    return artifacts.ArtifactStore(
-        root, max_bytes=budget if budget else None
-    )
+    """The artifact store holding traces (namespace ``trace``); None
+    when persistence is off."""
+    return artifacts.default_store()
 
 
 def entry_path(key: str) -> Path | None:
@@ -186,24 +145,10 @@ def entry_path(key: str) -> Path | None:
 
 
 def _lookup(key: str) -> Path | None:
-    """Resolve ``key`` to a readable payload path, adopting flat
-    pre-store entries into the sharded store on first sight."""
+    """Resolve ``key`` to a readable payload path."""
     st = store()
-    if st is None:
-        return None
-    info = st.get(artifacts.NS_TRACE, key)
-    if info is not None:
-        return info.path
-    legacy = cache_dir() / f"{key}.npz"  # type: ignore[operator]
-    if legacy.exists():
-        adopted = st.adopt_file(
-            artifacts.NS_TRACE, key, legacy, ".npz", move=True
-        )
-        if adopted is not None:
-            perf.add("trace_cache.migrated")
-            return adopted.path
-        return legacy
-    return None
+    info = st.get(artifacts.NS_TRACE, key) if st is not None else None
+    return info.path if info is not None else None
 
 
 def _drop(key: str) -> None:
@@ -292,15 +237,7 @@ def _validated_run(z, key: str | None) -> RunResult:
             is_write=np.concatenate([c.is_write for c in chunks]),
         )
         return _run_from_meta(meta, trace)
-    columns = {name: z[name] for name in _COLUMNS}
-    lengths = {name: len(col) for name, col in columns.items()}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(f"trace columns disagree on length: {lengths}")
-    trace = Trace(
-        proc=columns["proc"], addr=columns["addr"],
-        size=columns["size"], is_write=columns["is_write"].astype(bool),
-    )
-    return _run_from_meta(meta, trace)
+    return _run_from_meta(meta, _whole_trace(z))
 
 
 def load_run(key: str) -> RunResult | None:
@@ -390,8 +327,6 @@ def open_run(key: str) -> StoredRun | None:
         return None
     try:
         stored = StoredRun(path)
-        if stored.meta is None:  # pragma: no cover - defensive
-            raise ValueError("no metadata")
     except Exception as e:
         perf.add("trace_cache.corrupt")
         log.warning(
@@ -438,7 +373,7 @@ class ShardWriter:
     Feed trace chunks with :meth:`add` as they stream past (peak memory
     O(chunk)); :meth:`finish` seals the entry with its metadata and
     atomically publishes it.  :meth:`abort` (or ``finish`` never being
-    called) leaves no trace in the cache directory.
+    called) leaves no trace in the store.
     """
 
     def __init__(self, key: str):
@@ -581,21 +516,6 @@ def store_run(key: str, run: RunResult) -> bool:
 
 
 def prune() -> int:
-    """Delete every cached run (sharded store and any flat pre-store
-    leftovers); returns the number removed."""
-    root = cache_dir()
-    if root is None or not root.exists():
-        return 0
+    """Delete every stored run; returns the number removed."""
     st = store()
-    n = st.prune(artifacts.NS_TRACE) if st is not None else 0
-    for path in root.glob("*.npz"):
-        try:
-            path.unlink()
-            n += 1
-        except OSError:
-            pass
-    return n
-
-
-# re-exported for tests that freeze time deterministically
-_time = time
+    return st.prune(artifacts.NS_TRACE) if st is not None else 0

@@ -328,9 +328,8 @@ async def _handle_request(manager: JobManager, req: dict,
         try:
             from repro.runtime import artifacts
 
-            stats["artifacts"] = artifacts.ArtifactStore(
-                artifacts.default_root()
-            ).stats()
+            store = artifacts.default_store()
+            stats["artifacts"] = store.stats() if store is not None else {}
         except Exception:
             stats["artifacts"] = {}
         return {"ok": True, "stats": stats}

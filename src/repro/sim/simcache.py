@@ -18,10 +18,11 @@ without bound.
 Persistence
 -----------
 
-``REPRO_SIM_MEMO`` turns the in-process memo into a durable one backed
-by the unified artifact store (:mod:`repro.runtime.artifacts`,
-namespace ``sim``): ``1`` uses the default artifact root, any other
-value names a store root, unset/``0`` keeps the memo process-local.
+``REPRO_SIM_MEMO=1`` turns the in-process memo into a durable one
+backed by the artifact store (:mod:`repro.runtime.artifacts`,
+namespace ``sim``), in the same root and under the same byte budget as
+stored traces; any other value keeps the memo process-local, as does
+``REPRO_ARTIFACTS=0``.
 Persisted results are small JSON records (:func:`result_to_record`),
 keyed by the same (trace fingerprint, geometry, engine, kernel,
 chunking) tuple as the memo — so a service worker that already
@@ -69,11 +70,9 @@ def clear() -> None:
 
 def memo_store() -> Optional[artifacts.ArtifactStore]:
     """The persistent memo's artifact store, or None when disabled."""
-    raw = os.environ.get(ENV_MEMO, "").strip()
-    if not raw or raw.lower() in {"0", "off", "no", "none", "false"}:
+    if os.environ.get(ENV_MEMO, "").strip() != "1":
         return None
-    root = artifacts.default_root() if raw == "1" else raw
-    return artifacts.ArtifactStore(root)
+    return artifacts.default_store()
 
 
 def result_to_record(res: SimResult) -> dict:

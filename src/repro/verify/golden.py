@@ -12,6 +12,9 @@ while an intended change is a one-flag refresh
 The snapshot doubles as the metamorphic fixture for the paper's core
 claim: for every block size the C version's false-sharing misses must
 not exceed the N version's (:func:`fs_not_increased`).
+
+Snapshots live only in the checked-in files; the artifact store holds
+none.
 """
 
 from __future__ import annotations
@@ -325,48 +328,6 @@ def diff(expected: dict, actual: dict) -> list[str]:
     out: list[str] = []
     _walk_diff(expected, actual, "", out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Artifact-store integration
-# ---------------------------------------------------------------------------
-#
-# The checked-in JSONs under tests/golden/ stay the CI source of truth;
-# the unified artifact store (namespace "golden") is the *service-side*
-# home for snapshots: `repro artifacts --migrate` imports the legacy
-# directory, and service verify stages publish/consult snapshots without
-# touching the repo checkout.
-
-
-def publish_snapshot(store, snapshot: dict):
-    """Publish one snapshot into an
-    :class:`~repro.runtime.artifacts.ArtifactStore` (namespace
-    ``golden``), keyed by the snapshot's identity so a refresh replaces
-    the stale entry.  Returns the :class:`ArtifactInfo` or None."""
-    from repro.runtime import artifacts
-
-    return store.put_bytes(
-        artifacts.NS_GOLDEN, artifacts.golden_key(snapshot),
-        dumps(snapshot).encode(), ".json",
-    )
-
-
-def load_stored_snapshot(store, snapshot_identity: dict) -> dict | None:
-    """Fetch the stored snapshot matching ``snapshot_identity`` (a dict
-    carrying at least ``workload``/``nprocs``/``block_sizes`` and, for
-    scheduler snapshots, a ``steal`` marker); None on miss."""
-    from repro.runtime import artifacts
-
-    data = store.read_bytes(
-        artifacts.NS_GOLDEN, artifacts.golden_key(snapshot_identity)
-    )
-    if data is None:
-        return None
-    try:
-        got = json.loads(data.decode())
-    except ValueError:
-        return None
-    return got if isinstance(got, dict) else None
 
 
 def fs_not_increased(snapshot: dict) -> list[str]:

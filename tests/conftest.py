@@ -25,18 +25,19 @@ def update_golden(request):
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _isolated_trace_cache(tmp_path_factory):
-    """Point the persistent trace cache at a throwaway directory so the
-    suite neither reads stale entries nor litters the user's cache."""
-    old = os.environ.get("REPRO_TRACE_CACHE")
-    os.environ["REPRO_TRACE_CACHE"] = str(
-        tmp_path_factory.mktemp("trace-cache")
+def _isolated_artifact_store(tmp_path_factory):
+    """Point the artifact store (stored traces, the sim memo) at a
+    throwaway directory so the suite neither reads stale entries nor
+    litters the user's cache."""
+    old = os.environ.get("REPRO_ARTIFACTS")
+    os.environ["REPRO_ARTIFACTS"] = str(
+        tmp_path_factory.mktemp("artifact-store")
     )
     yield
     if old is None:
-        os.environ.pop("REPRO_TRACE_CACHE", None)
+        os.environ.pop("REPRO_ARTIFACTS", None)
     else:
-        os.environ["REPRO_TRACE_CACHE"] = old
+        os.environ["REPRO_ARTIFACTS"] = old
 
 #: The canonical counter kernel: textbook false sharing on `counter`,
 #: a shared total behind a lock, one barrier phase boundary.

@@ -1,7 +1,7 @@
 """The unified content-addressed artifact store: publish atomicity,
 LRU byte-budget eviction (never dropping an entry out from under an
-open reader), integrity checks on read, legacy-layout migration, and
-the persistent sim memo riding on top of it.
+open reader), integrity checks on read, the one root that stored
+traces share with the persistent sim memo, and the memo itself.
 """
 
 import json
@@ -193,92 +193,36 @@ def test_evict_to_budget_sweep(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# satellite: migration round-trip from the three legacy layouts
+# one root: stored traces are counted and pruned with everything else
 # ---------------------------------------------------------------------------
 
 
-def _legacy_layouts(tmp_path):
-    """Build all three pre-store layouts with known content."""
-    trace_dir = tmp_path / "legacy-traces"
-    trace_dir.mkdir()
-    tkey = artifacts.content_key("legacy", "trace")
-    np.savez(trace_dir / f"{tkey}.npz", proc=np.arange(8))
-    (trace_dir / "not-a-key.npz").write_bytes(b"ignored")
+def test_one_root_counts_and_prunes_traces(tmp_path, monkeypatch, capsys):
+    """With only ``REPRO_ARTIFACTS`` set, the traces a run stores land
+    in that store: ``repro artifacts --stats`` counts them and
+    ``--prune`` removes them, so the next run interprets again."""
+    from repro import cli
+    from repro.harness.pipeline import Pipeline
+    from repro.workloads.registry import by_name
 
-    memo_dir = tmp_path / "legacy-memo"
-    memo_dir.mkdir()
-    mkey = artifacts.content_key("legacy", "memo")
-    (memo_dir / f"{mkey}.json").write_text('{"schema": 1}')
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "one-root"))
+    for var in ("REPRO_ARTIFACTS_MAX_MB", "REPRO_TRACE_CACHE_MIN",
+                "REPRO_SIM_MEMO"):
+        monkeypatch.delenv(var, raising=False)
+    source = by_name("Pverify").source
+    assert not Pipeline(source).execute(2).from_cache
+    capsys.readouterr()
 
-    golden_dir = tmp_path / "legacy-golden"
-    golden_dir.mkdir()
-    snap = {
-        "schema": 1, "workload": "Maxflow", "nprocs": 4,
-        "block_sizes": [32, 64], "versions": {},
-    }
-    (golden_dir / "maxflow.json").write_text(json.dumps(snap))
-    (golden_dir / "README.txt").write_text("not json")
-    return trace_dir, memo_dir, golden_dir, tkey, mkey, snap
+    assert cli.main(["artifacts", "--stats", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["namespaces"]["trace"]["entries"] >= 1
 
+    assert cli.main(["artifacts", "--prune"]) == 0
+    assert "[pruned 0 entries]" not in capsys.readouterr().err
+    assert cli.main(["artifacts", "--stats", "--json"]) == 0
+    assert "trace" not in json.loads(capsys.readouterr().out)["namespaces"]
 
-def test_migrate_legacy_roundtrip(tmp_path, store):
-    trace_dir, memo_dir, golden_dir, tkey, mkey, snap = _legacy_layouts(
-        tmp_path
-    )
-    report = artifacts.migrate_legacy(
-        store, trace_dir=trace_dir, sim_memo_dir=memo_dir,
-        golden_dir=golden_dir,
-    )
-    assert report == {"trace": 1, "sim": 1, "golden": 1, "skipped": 0}
-
-    # trace round-trips through numpy
-    info = store.get(artifacts.NS_TRACE, tkey)
-    with np.load(info.path) as z:
-        np.testing.assert_array_equal(z["proc"], np.arange(8))
-    # memo and golden round-trip as JSON
-    assert json.loads(store.read_bytes(artifacts.NS_SIM, mkey)) == {
-        "schema": 1
-    }
-    gkey = artifacts.golden_key(snap)
-    assert json.loads(store.read_bytes(artifacts.NS_GOLDEN, gkey)) == snap
-
-    # copy mode leaves the legacy files in place
-    assert (trace_dir / f"{tkey}.npz").exists()
-
-    # re-running is idempotent: everything skips, nothing re-imports
-    again = artifacts.migrate_legacy(
-        store, trace_dir=trace_dir, sim_memo_dir=memo_dir,
-        golden_dir=golden_dir,
-    )
-    assert again == {"trace": 0, "sim": 0, "golden": 0, "skipped": 3}
-
-
-def test_migrate_move_consumes_legacy_files(tmp_path, store):
-    trace_dir, memo_dir, golden_dir, tkey, *_ = _legacy_layouts(tmp_path)
-    artifacts.migrate_legacy(
-        store, trace_dir=trace_dir, sim_memo_dir=memo_dir,
-        golden_dir=golden_dir, move=True,
-    )
-    assert not (trace_dir / f"{tkey}.npz").exists()
-    assert store.get(artifacts.NS_TRACE, tkey) is not None
-
-
-def test_golden_publish_load_roundtrip(store):
-    from repro.verify import golden
-
-    snap = {
-        "schema": 1, "workload": "Pverify", "nprocs": 4,
-        "block_sizes": [32, 64, 128], "plan": "p",
-        "versions": {"N": {}, "C": {}},
-    }
-    assert golden.publish_snapshot(store, snap) is not None
-    got = golden.load_stored_snapshot(store, snap)
-    assert got == snap
-    # identity (not content) keys the entry: a refreshed snapshot
-    # replaces the old one instead of accumulating
-    snap2 = dict(snap, plan="different")
-    golden.publish_snapshot(store, snap2)
-    assert golden.load_stored_snapshot(store, snap) == snap2
+    assert Pipeline(source).execute(2).from_cache is False
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +251,8 @@ def test_sim_memo_persists_across_processes_worth_of_state(
 ):
     from repro.sim import simcache
 
-    monkeypatch.setenv(simcache.ENV_MEMO, str(tmp_path / "memo"))
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "memo"))
+    monkeypatch.setenv(simcache.ENV_MEMO, "1")
     simcache.clear()
     first = _tiny_sim()
     simcache.clear()  # simulate a fresh process: in-memory memo gone
@@ -323,7 +268,8 @@ def test_sim_memo_persists_across_processes_worth_of_state(
 def test_sim_memo_corrupt_record_recomputed(tmp_path, monkeypatch):
     from repro.sim import simcache
 
-    monkeypatch.setenv(simcache.ENV_MEMO, str(tmp_path / "memo"))
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "memo"))
+    monkeypatch.setenv(simcache.ENV_MEMO, "1")
     simcache.clear()
     first = _tiny_sim()
     store = simcache.memo_store()
@@ -341,4 +287,11 @@ def test_sim_memo_off_by_default(monkeypatch):
     monkeypatch.delenv(simcache.ENV_MEMO, raising=False)
     assert simcache.memo_store() is None
     monkeypatch.setenv(simcache.ENV_MEMO, "0")
+    assert simcache.memo_store() is None
+    # "1" is the only "on" value; a path no longer names a second root
+    monkeypatch.setenv(simcache.ENV_MEMO, "/some/other/root")
+    assert simcache.memo_store() is None
+    # REPRO_ARTIFACTS=0 turns every store off, the memo's included
+    monkeypatch.setenv(simcache.ENV_MEMO, "1")
+    monkeypatch.setenv("REPRO_ARTIFACTS", "0")
     assert simcache.memo_store() is None

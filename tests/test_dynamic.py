@@ -190,7 +190,7 @@ class TestPhaseMarks:
         assert run.phase_marks == []
 
     def test_trace_cache_round_trips_marks(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "0")
         _, _, run = interpret(HEAP_SRC)
         key = trace_cache.run_key(

@@ -313,47 +313,49 @@ class TestManifest:
         assert batch["kernel"] is None
         assert batch["chunk_size"] is None and batch["stream"] == {}
 
-    def test_upgrade_record_backfills_schema1(self):
+    def test_upgrade_record_backfills_schema1(self, tmp_path):
+        """Schema-1 records are no longer backfilled: the upgrader is
+        gone and ``read_all`` skips the record instead of returning it
+        with schema-3 defaults filled in."""
+        assert not hasattr(manifest, "upgrade_record")
         old = {
             "schema": 1, "ts": "2026-01-01T00:00:00+00:00",
             "kind": "profile", "workload": "Water",
             "misses": {"false": 9}, "custom": "kept",
         }
-        up = manifest.upgrade_record(old)
-        assert up["schema"] == manifest.SCHEMA
-        assert up["kernel"] is None
-        assert up["chunk_size"] is None
-        assert up["stream"] == {} and up["fs_by_structure"] == {}
-        assert up["dynamic"] == {}            # schema-3 default
-        assert up["misses"]["false"] == 9     # existing data untouched
-        assert up["custom"] == "kept"         # unknown fields preserved
-        assert old["schema"] == 1             # input not mutated
+        log = tmp_path / "runs.jsonl"
+        log.write_text(json.dumps(old) + "\n")
+        assert manifest.read_all(log) == []
+        assert manifest.last_for("Water", log) is None
 
-    def test_upgrade_record_backfills_schema2_machine(self):
-        # A schema-2 record's machine dict is pure geometry; the upgrade
-        # stamps the identity every schema-2 writer implied: the
-        # hard-coded KSR2 MSI machine, line size == block size.
-        old = {
-            "schema": 2, "kind": "profile", "workload": "Water",
-            "machine": {"block_size": 64, "cache_size": 32768, "assoc": 4},
-        }
-        up = manifest.upgrade_record(old)
-        assert up["schema"] == manifest.SCHEMA
-        assert up["machine"]["name"] == "ksr2"
-        assert up["machine"]["protocol"] == "msi"
-        assert up["machine"]["line_size"] == 64
-        assert up["machine"]["block_size"] == 64   # geometry untouched
-        assert up["dynamic"] == {}
-        assert "protocol" not in old["machine"]    # input not mutated
+    def test_upgrade_record_backfills_schema2_machine(self, tmp_path):
+        """A schema-2 record's geometry-only machine dict is not stamped
+        with the KSR2/MSI identity any more; the record is skipped by
+        ``read_all`` and counted corrupt by ingest."""
+        from repro.obs.store import RunStore
 
-    def test_upgrade_record_keeps_schema3_machine(self):
+        old = dict(_record(workload="Water"), schema=2)
+        old["machine"] = {"block_size": 64, "cache_size": 32768, "assoc": 4}
+        log = tmp_path / "runs.jsonl"
+        log.write_text(json.dumps(old) + "\n")
+        assert manifest.read_all(log) == []
+        rep = RunStore(tmp_path / "store").ingest(log)
+        assert rep.ingested == 0 and rep.corrupt == 1
+        assert list(RunStore(tmp_path / "store").records()) == []
+
+    def test_upgrade_record_keeps_schema3_machine(self, tmp_path):
+        """A schema-3 record's machine identity survives the log round
+        trip unchanged."""
         rec = _record()
         rec["machine"] = {
             "name": "modern64", "protocol": "mesi", "line_size": 64,
         }
-        up = manifest.upgrade_record(rec)
-        assert up["machine"]["name"] == "modern64"
-        assert up["machine"]["protocol"] == "mesi"
+        log = tmp_path / "runs.jsonl"
+        log.write_text(json.dumps(rec) + "\n")
+        (got,) = manifest.read_all(log)
+        assert got["machine"]["name"] == "modern64"
+        assert got["machine"]["protocol"] == "mesi"
+        assert got == json.loads(json.dumps(rec))
 
     def test_sim_record_machine_identity(self):
         sim = _sim_result()
@@ -372,12 +374,38 @@ class TestManifest:
         json.dumps(rec)
 
     def test_read_all_upgrades_by_default(self, tmp_path):
+        """``read_all`` has no ``upgrade`` switch any more: it returns
+        schema-3 records as written and skips older ones."""
         log = tmp_path / "runs.jsonl"
-        log.write_text(json.dumps({"schema": 1, "workload": "A"}) + "\n")
-        (up,) = manifest.read_all(log)
-        assert up["schema"] == manifest.SCHEMA and up["kernel"] is None
-        (raw,) = manifest.read_all(log, upgrade=False)
-        assert raw["schema"] == 1 and "kernel" not in raw
+        current = _record(workload="B")
+        log.write_text(
+            json.dumps({"schema": 1, "workload": "A"}) + "\n"
+            + json.dumps(current) + "\n"
+        )
+        (got,) = manifest.read_all(log)
+        assert got["schema"] == manifest.SCHEMA and got["workload"] == "B"
+        with pytest.raises(TypeError):
+            manifest.read_all(log, upgrade=False)
+
+    def test_pre_schema3_records_counted_corrupt(self, tmp_path):
+        """Schema-1 and schema-2 lines are no longer upgraded: ingest
+        skips and counts them, and ``read_all`` skips them, while the
+        schema-3 line still lands with its content-hash id."""
+        from repro.obs.store import RunStore, record_id
+
+        current = _record(workload="C")
+        log = tmp_path / "runs.jsonl"
+        log.write_text(
+            json.dumps({"schema": 1, "workload": "A"}) + "\n"
+            + json.dumps(dict(_record(workload="B"), schema=2)) + "\n"
+            + json.dumps(current) + "\n"
+        )
+        rep = RunStore(tmp_path / "store").ingest(log)
+        assert rep.ingested == 1 and rep.corrupt == 2
+        (stored,) = RunStore(tmp_path / "store").records()
+        assert stored["workload"] == "C"
+        assert stored["id"] == record_id(current)
+        assert [r["workload"] for r in manifest.read_all(log)] == ["C"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ cache, the per-trace simulation memo, the perf counters, the
 interpreter's generated-code fast path, and the parallel experiment
 lab's plan resolution."""
 
+import io
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.harness.parallel import default_jobs, resolve_plan
 from repro.harness.pipeline import Pipeline
 from repro.layout import DataLayout
 from repro.runtime import run_program, trace_cache
+from repro.runtime.artifacts import NS_TRACE
 from repro.runtime.trace import Trace, TraceBuffer
 from repro.sim import CacheConfig
 from repro.sim.simcache import cached_simulate, clear
@@ -95,7 +97,7 @@ def small_run(nprocs=2):
 
 class TestTraceCache:
     def test_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()
         key = trace_cache.run_key("src", "plan", 2, 128, 4, 100)
@@ -109,7 +111,7 @@ class TestTraceCache:
         assert got.output == vr.run.output
 
     def test_pipeline_hit_skips_interpretation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         wl = by_name("Pverify")
         cold = Pipeline(wl.source).execute(2)
@@ -119,32 +121,38 @@ class TestTraceCache:
         assert np.array_equal(warm.run.trace.addr, cold.run.trace.addr)
 
     def test_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        assert trace_cache.cache_dir() is None
+        monkeypatch.setenv("REPRO_ARTIFACTS", "off")
+        assert trace_cache.store() is None
         _, vr = small_run()
         assert not trace_cache.store_run("k" * 64, vr.run)
 
     def test_min_refs_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "10000000")
         _, vr = small_run()
         assert not trace_cache.store_run("k" * 64, vr.run)
 
     def test_corrupt_entry_dropped(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         key = trace_cache.run_key("s", "p", 2, 128, 4, 100)
-        (tmp_path / f"{key}.npz").write_bytes(b"not an npz")
+        # published properly, so only decoding the payload can catch it
+        assert trace_cache.store().put_bytes(
+            NS_TRACE, key, b"not an npz", ".npz"
+        ) is not None
+        path = trace_cache.entry_path(key)
+        assert path.exists()
         perf.reset()
         assert trace_cache.load_run(key) is None
         assert perf.get("trace_cache.corrupt") == 1.0
-        assert not (tmp_path / f"{key}.npz").exists()
+        assert not path.exists()
+        assert trace_cache.store().get(NS_TRACE, key) is None
 
     def test_truncated_entry_recomputed(self, tmp_path, monkeypatch):
         """A half-written .npz falls back to recomputation, not a crash.
 
         Truncation is caught one layer down now: the artifact store's
         size check fails before numpy ever sees the payload."""
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()
         key = trace_cache.run_key("src", "plan", 2, 128, 4, 100)
@@ -164,7 +172,7 @@ class TestTraceCache:
         """An entry stored under one key must never satisfy another key
         (file renames / hash-prefix reuse): entries echo their own key
         and the echo is checked on load."""
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()
         key_a = trace_cache.run_key("src-a", "plan", 2, 128, 4, 100)
@@ -172,8 +180,9 @@ class TestTraceCache:
         assert trace_cache.store_run(key_a, vr.run)
         # masquerade A's payload as B's entry (published properly, so
         # only the key echo inside the npz can catch the swap)
-        trace_cache.store().adopt_file(
-            "trace", key_b, trace_cache.entry_path(key_a), ".npz"
+        trace_cache.store().put_bytes(
+            NS_TRACE, key_b, trace_cache.entry_path(key_a).read_bytes(),
+            ".npz",
         )
         perf.reset()
         assert trace_cache.load_run(key_b) is None
@@ -185,7 +194,7 @@ class TestTraceCache:
         """Entries from an older layout (no key echo) are recomputed."""
         import json
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()
         key = trace_cache.run_key("src", "plan", 2, 128, 4, 100)
@@ -196,11 +205,12 @@ class TestTraceCache:
         meta = json.loads(bytes(data["meta"]).decode())
         del meta["key"]
         data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        doctored = tmp_path / "doctored.npz"
+        doctored = io.BytesIO()
         np.savez(doctored, **data)
         # republish so the store sidecar matches the doctored payload
-        trace_cache.store().adopt_file("trace", key, doctored, ".npz",
-                                       move=True)
+        trace_cache.store().put_bytes(
+            NS_TRACE, key, doctored.getvalue(), ".npz"
+        )
         perf.reset()
         assert trace_cache.load_run(key) is None
         assert perf.get("trace_cache.corrupt") == 1.0
@@ -212,7 +222,7 @@ class TestTraceCache:
         assert k == trace_cache.run_key("s", "p", 2, 128, 4, 100)
 
     def test_prune(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
         _, vr = small_run()  # execute() itself persists one entry
         trace_cache.store_run("a" * 64, vr.run)

@@ -139,7 +139,7 @@ def test_steal_trace_identical_misses_across_kernels(counter_steal, kernel):
 
 def test_streamed_path_matches_batch_under_steal(monkeypatch, tmp_path):
     """O(chunk)-memory streaming replays the same stochastic schedule."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "cache"))
     cfg = SchedConfig("steal", seed=11)
     batch = Pipeline(COUNTER_SRC, block_size=64, sched=cfg)
     vr = batch.execute(NPROCS)
@@ -230,7 +230,7 @@ def test_steal_run_never_replays_rr_cache_entry(monkeypatch, tmp_path):
     """The bug this schema rev fixed: with the scheduler missing from
     the key, the second pipeline below hit the rr entry and returned a
     round-robin trace labelled as a steal run."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "0")
     rr_vr = Pipeline(COUNTER_SRC, sched=RR).execute(NPROCS)
     assert not rr_vr.from_cache

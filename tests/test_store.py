@@ -89,7 +89,7 @@ class TestIngest:
         got = {r["id"]: r for r in store.records()}
         assert len(got) == len(records)
         for rec in records:
-            rid = record_id(manifest.upgrade_record(rec))
+            rid = record_id(rec)
             stored = got[rid]
             for key, val in rec.items():
                 assert stored[key] == val, key
@@ -122,33 +122,33 @@ class TestIngest:
         assert store.count() == 5
 
     def test_schema1_records_upgraded_on_ingest(self, store, tmp_path):
+        """Schema-1 records are no longer upgraded on ingest: they are
+        counted corrupt and nothing lands in the store."""
         old = {
             "schema": 1, "ts": "2026-01-01T00:00:00+00:00",
             "kind": "profile", "workload": "Maxflow/N",
             "misses": {"false": 42},
         }
-        store.ingest(write_log(tmp_path / "old.jsonl", [old]))
-        (rec,) = store.records()
-        assert rec["schema"] == manifest.SCHEMA
-        assert rec["kernel"] is None
-        assert rec["stream"] == {} and rec["chunk_size"] is None
-        assert rec["dynamic"] == {}
-        assert rec["misses"]["false"] == 42
+        rep = store.ingest(write_log(tmp_path / "old.jsonl", [old]))
+        assert rep.ingested == 0 and rep.corrupt == 1
+        assert store.count() == 0 and list(store.records()) == []
 
     def test_schema2_records_upgraded_on_ingest(self, store, tmp_path):
-        """A schema-2 machine dict (geometry only) gains the implied
-        KSR2/MSI identity on ingest."""
+        """A schema-2 record (geometry-only machine dict) gains no
+        KSR2/MSI identity on ingest: it is counted corrupt, while the
+        same record at schema 3 ingests."""
         old = make_record(0)
         old["schema"] = 2
         old["machine"] = {"cache_size": 32768, "assoc": 4, "block_size": 64}
         del old["dynamic"]
-        store.ingest(write_log(tmp_path / "old2.jsonl", [old]))
+        rep = store.ingest(write_log(tmp_path / "old2.jsonl", [old]))
+        assert rep.ingested == 0 and rep.corrupt == 1
+        assert store.count() == 0
+        rep = store.ingest(write_log(tmp_path / "new.jsonl", [make_record(0)]))
+        assert rep.ingested == 1 and rep.corrupt == 0
         (rec,) = store.records()
-        assert rec["schema"] == manifest.SCHEMA
+        assert rec["id"] == record_id(make_record(0))
         assert rec["machine"]["name"] == "ksr2"
-        assert rec["machine"]["protocol"] == "msi"
-        assert rec["machine"]["line_size"] == 64
-        assert rec["dynamic"] == {}
 
     def test_ingest_report_describe(self):
         rep = IngestReport(scanned=10, ingested=7, duplicates=3, corrupt=2)
@@ -176,7 +176,7 @@ class TestShardsAndIndexes:
         records = [make_record(i) for i in range(8)]
         store.ingest(write_log(tmp_path / "r.jsonl", records))
         # sneak a record into a shard behind the index's back
-        extra = manifest.upgrade_record(make_record(99, fs=7))
+        extra = make_record(99, fs=7)
         extra["id"] = record_id(extra)
         digit = extra["id"][0]
         with open(store.shard_path(digit), "a") as fh:

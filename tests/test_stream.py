@@ -242,7 +242,7 @@ def test_streamed_span_parity(monkeypatch):
     """The streamed path emits the same ``pipeline.execute`` span as the
     batch path (tagged ``streamed``), with ``stream.produce`` /
     ``stream.consume`` children covering the concurrent stages."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    monkeypatch.setenv("REPRO_ARTIFACTS", "0")
     from repro.harness.pipeline import Pipeline
     from repro.obs import spans as obs
 
@@ -286,7 +286,7 @@ def test_streamed_span_parity(monkeypatch):
 def test_pipeline_streamed_roundtrip(tmp_path, monkeypatch):
     """Pipeline.simulate_streamed: fresh interpretation persists shards;
     the second call replays them chunk-by-chunk with identical results."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
     monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
     monkeypatch.setenv("REPRO_TRACE_SHARD_REFS", "400")
     from repro.harness.pipeline import Pipeline

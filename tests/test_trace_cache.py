@@ -1,7 +1,7 @@
 """Persistent trace cache: chunked shards, streaming writer, the
-``REPRO_TRACE_CACHE_MAX_MB`` LRU size budget, and the unified artifact
-store underneath it (sharded layout, atomic flock'd publish, legacy
-flat-layout adoption, racing concurrent writers).
+``REPRO_ARTIFACTS_MAX_MB`` LRU size budget, and the artifact store
+underneath it (sharded layout, atomic flock'd publish, racing
+concurrent writers).
 
 The eviction policy under test: every *load* refreshes an entry's
 recency (mtime), stores enforce the budget afterwards, oldest-unused
@@ -39,9 +39,9 @@ def make_run(n, seed, *, nprocs=4):
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
     monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "1")
-    monkeypatch.delenv("REPRO_TRACE_CACHE_MAX_MB", raising=False)
+    monkeypatch.delenv("REPRO_ARTIFACTS_MAX_MB", raising=False)
     monkeypatch.delenv("REPRO_TRACE_SHARD_REFS", raising=False)
     return tmp_path
 
@@ -145,24 +145,6 @@ def test_corrupt_entry_dropped(cache):
     assert tc.open_run(key_for(7)) is None
 
 
-def test_legacy_flat_entry_adopted(cache):
-    """A warm pre-store cache (flat ``<key>.npz`` at the root) keeps
-    its hits: the entry is adopted into the sharded store on first
-    lookup and served from there afterwards."""
-    run = make_run(300, seed=8)
-    tc.store_run(key_for(8), run)
-    sharded = tc.entry_path(key_for(8))
-    legacy = cache / f"{key_for(8)}.npz"
-    os.replace(sharded, legacy)  # demote to the pre-store layout
-    tc.store().delete("trace", key_for(8))
-    assert not sharded.exists()
-
-    assert_run_equal(tc.load_run(key_for(8)), run)  # adopted on lookup
-    assert sharded.exists()
-    assert not legacy.exists()
-    assert_run_equal(tc.load_run(key_for(8)), run)  # now store-served
-
-
 # ---------------------------------------------------------------------------
 # satellite: LRU size budget
 # ---------------------------------------------------------------------------
@@ -188,7 +170,7 @@ def test_lru_eviction_preserves_mru(cache, monkeypatch):
         time.sleep(0.02)
 
     one = _entry_mb(cache, keys[0])
-    monkeypatch.setenv("REPRO_TRACE_CACHE_MAX_MB", str(one * 2.5))
+    monkeypatch.setenv("REPRO_ARTIFACTS_MAX_MB", str(one * 2.5))
 
     time.sleep(0.02)
     assert tc.load_run(keys[0]) is not None  # touch: 0 is now MRU
@@ -214,7 +196,7 @@ def test_eviction_logs_drops(cache, monkeypatch, caplog):
         tc.store_run(key_for(40 + i), make_run(2000, seed=40 + i))
         time.sleep(0.02)
     monkeypatch.setenv(
-        "REPRO_TRACE_CACHE_MAX_MB", str(_entry_mb(cache, key_for(40)) * 1.5)
+        "REPRO_ARTIFACTS_MAX_MB", str(_entry_mb(cache, key_for(40)) * 1.5)
     )
     with caplog.at_level(logging.INFO, logger="repro.artifacts"):
         tc.store_run(key_for(43), make_run(2000, seed=43))
@@ -222,7 +204,7 @@ def test_eviction_logs_drops(cache, monkeypatch, caplog):
 
 
 def test_no_budget_means_no_eviction(cache, monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE_CACHE_MAX_MB", raising=False)
+    monkeypatch.delenv("REPRO_ARTIFACTS_MAX_MB", raising=False)
     for i in range(4):
         tc.store_run(key_for(60 + i), make_run(2000, seed=60 + i))
     assert len(_stored_names(cache)) == 4
@@ -243,7 +225,7 @@ def test_load_refreshes_mtime(cache):
 
 
 def _racing_store(cache_dir, key, n, seed, barrier):
-    os.environ["REPRO_TRACE_CACHE"] = str(cache_dir)
+    os.environ["REPRO_ARTIFACTS"] = str(cache_dir)
     os.environ["REPRO_TRACE_CACHE_MIN"] = "1"
     from repro.runtime import trace_cache as worker_tc
 
