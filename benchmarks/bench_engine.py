@@ -11,8 +11,8 @@ the measurement protocol.
 """
 
 import json
-import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ import pytest
 from repro.runtime.trace import Trace, TraceBuffer
 from repro.sim import CacheConfig, build_events, simulate_trace
 from repro.sim.engine import simulate_trace_fast
-from repro.sim.kernel import KERNEL_ENV, load_kernel
+from repro.harness import WorkloadLab
+from repro.sim.kernel import load_kernel
 from repro.sim.simcache import cached_simulate, clear
 
 HAVE_NATIVE = load_kernel() is not None
@@ -157,20 +158,14 @@ def test_grid_warm_kernel_speedup(lab):
     kernel is available) asserts the documented speedup floor."""
     _time_grid(lab)  # warm-up: interpret/load every run, fill event memos
 
-    old = os.environ.get(KERNEL_ENV)
-    try:
-        os.environ[KERNEL_ENV] = "python"
-        python_s = _time_grid(lab)
-        if HAVE_NATIVE:
-            os.environ[KERNEL_ENV] = "native"
-            native_s = _time_grid(lab)
-        else:
-            native_s = None
-    finally:
-        if old is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = old
+    def timed(kernel: str) -> float:
+        """The grid on one protocol core (runs replay the warm store)."""
+        core_lab = WorkloadLab(config=replace(lab.config, kernel=kernel))
+        _time_grid(core_lab)  # warm-up of this lab's own run cache
+        return _time_grid(core_lab)
+
+    python_s = timed("python")
+    native_s = timed("native") if HAVE_NATIVE else None
 
     speedup = (python_s / native_s) if native_s else None
     point = {

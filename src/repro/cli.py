@@ -60,6 +60,7 @@ from pathlib import Path
 
 from repro import obs, perf
 from repro.analysis import analyze_program, rsd_prediction_diff
+from repro.config import RR, RunConfig, SchedConfig
 from repro.errors import ReproError
 from repro.harness import (
     Pipeline,
@@ -83,11 +84,8 @@ from repro.harness import (
     table3,
 )
 from repro.lang import compile_source
-from repro.layout import DataLayout
-from repro.layout.regions import build_region_map
 from repro.obs import chrome, manifest
-from repro.runtime import run_program
-from repro.sim import simulate_run, top_fs_structures
+from repro.sim import top_fs_structures
 from repro.transform import decide_transformations, render_transformed_source
 
 
@@ -110,6 +108,18 @@ def _resolve_source(spec: str) -> tuple[str, str]:
 def _load(path: str):
     label, source = _resolve_source(path)
     return compile_source(source, filename=label)
+
+
+def _config(args) -> RunConfig:
+    """The run configuration: this command's flags folded over
+    ``RunConfig.from_env()``, resolved once and passed down."""
+    return RunConfig.from_env().override(
+        machine=getattr(args, "machine", None),
+        sched=getattr(args, "sched", None),
+        seed=getattr(args, "sched_seed", None),
+        grain=getattr(args, "grain", None),
+        kernel=getattr(args, "sim_kernel", None),
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -195,6 +205,7 @@ def cmd_tune(args) -> int:
     )
     from repro.workloads.registry import by_name
 
+    config = _config(args)
     profiling = _begin_profiling(args)
     label, source = _resolve_source(args.file)
     try:
@@ -218,6 +229,7 @@ def cmd_tune(args) -> int:
         jobs=args.jobs,
         cpi=cpi,
         verify_front=not args.no_verify,
+        config=config,
     )
     print(render_tune_report(report, verbose=args.verbose))
     if args.bench_out:
@@ -241,24 +253,19 @@ def cmd_tune(args) -> int:
 
 
 def cmd_run(args) -> int:
-    checked = _load(args.file)
-    plan = None
-    if args.optimized:
-        plan = decide_transformations(
-            analyze_program(checked, args.nprocs), block_size=args.block_size
-        )
-    layout = DataLayout(
-        checked, plan, nprocs=args.nprocs, block_size=args.block_size
-    )
-    result = run_program(checked, layout, args.nprocs)
-    for line in result.output:
+    label, source = _resolve_source(args.file)
+    pipe = Pipeline(source, block_size=args.block_size, filename=label,
+                    config=_config(args))
+    run_version = pipe.run_compiler if args.optimized else pipe.run_unoptimized
+    run = run_version(args.nprocs).run
+    for line in run.output:
         print(line)
     print(
-        f"[{args.nprocs} procs, {len(result.trace)} shared refs, "
-        f"exit {result.exit_value}]",
+        f"[{args.nprocs} procs, {len(run.trace)} shared refs, "
+        f"exit {run.exit_value}]",
         file=sys.stderr,
     )
-    return int(result.exit_value or 0)
+    return int(run.exit_value or 0)
 
 
 def _begin_profiling(args) -> bool:
@@ -288,8 +295,7 @@ def _finish_profiling(args, profiling: bool) -> None:
 
 def _record_manifest(
     *, kind: str, label: str, source: str, plan, nprocs: int,
-    block_size: int, sim=None, fs_by_structure=None,
-    chunk_size=None, stream=None,
+    block_size: int, config: RunConfig, sim=None, fs_by_structure=None,
 ) -> None:
     """Append one run record to the ``REPRO_RUN_LOG`` manifest (no-op
     when the log is not configured)."""
@@ -300,10 +306,9 @@ def _record_manifest(
         plan_desc="natural" if plan is None else plan.describe(),
         nprocs=nprocs,
         block_size=block_size,
+        config=config,
         sim=sim,
         fs_by_structure=fs_by_structure,
-        chunk_size=chunk_size,
-        stream=stream,
         span_timings=obs.flat_timings() if obs.enabled() else {},
         extra=(
             {"wall_seconds": round(obs.total_seconds(), 6)}
@@ -316,43 +321,34 @@ def _record_manifest(
         print(f"[manifest record -> {path}]", file=sys.stderr)
 
 
+def _miss_line(vlabel: str, sim) -> str:
+    return (f"{vlabel:>12}: miss rate {100 * sim.miss_rate:6.2f}%  "
+            f"misses {sim.total_misses:6d}  "
+            f"false sharing {sim.misses.false_sharing:6d}")
+
+
 def cmd_simulate(args) -> int:
     profiling = _begin_profiling(args)
     label, source = _resolve_source(args.file)
-    checked = compile_source(source, filename=label)
-    pa = analyze_program(checked, args.nprocs)
-    plan = decide_transformations(pa, block_size=args.block_size)
-    base_layout = DataLayout(
-        checked, nprocs=args.nprocs, block_size=args.block_size
-    )
-    opt_layout = DataLayout(
-        checked, plan, nprocs=args.nprocs, block_size=args.block_size
-    )
-    with obs.span("simulate.run", version="N"):
-        base = run_program(checked, base_layout, args.nprocs)
-    with obs.span("simulate.run", version="C"):
-        opt = run_program(checked, opt_layout, args.nprocs)
-    print(plan.describe())
+    pipe = Pipeline(source, block_size=args.block_size, filename=label,
+                    config=_config(args))
+    print(pipe.compiler_plan(args.nprocs).describe())
     print()
-    for vlabel, vplan, run, layout in (
-        ("unoptimized", None, base, base_layout),
-        ("transformed", plan, opt, opt_layout),
+    for vlabel, vr in (
+        ("unoptimized", pipe.run_unoptimized(args.nprocs)),
+        ("transformed", pipe.run_compiler(args.nprocs)),
     ):
-        sim = simulate_run(run, args.block_size)
-        print(
-            f"{vlabel:>12}: miss rate {100 * sim.miss_rate:6.2f}%  "
-            f"misses {sim.total_misses:6d}  "
-            f"false sharing {sim.misses.false_sharing:6d}"
-        )
-        regions = build_region_map(layout, run.heap_segments)
+        sim = vr.simulate(args.block_size)
+        print(_miss_line(vlabel, sim))
+        regions = vr.regions()
         if profiling:
             print()
             print(obs.render_fs_table(sim, regions))
             print()
             _record_manifest(
                 kind="simulate", label=f"{label}/{vlabel}", source=source,
-                plan=vplan, nprocs=args.nprocs, block_size=args.block_size,
-                sim=sim,
+                plan=vr.plan, nprocs=args.nprocs, block_size=args.block_size,
+                config=vr.config, sim=sim,
                 fs_by_structure=obs.fs_table(sim, regions).fs_by_structure,
             )
         elif args.verbose:
@@ -368,7 +364,8 @@ def cmd_profile(args) -> int:
     profiling = _begin_profiling(args)
     label, source = _resolve_source(args.file)
     with obs.span("profile", target=label, nprocs=args.nprocs):
-        pipe = Pipeline(source, block_size=args.block_size)
+        pipe = Pipeline(source, block_size=args.block_size, filename=label,
+                        config=_config(args))
         pa = pipe.analysis(args.nprocs)
         plan = pipe.compiler_plan(args.nprocs)
         base = pipe.run_unoptimized(args.nprocs)
@@ -384,12 +381,8 @@ def cmd_profile(args) -> int:
     print()
     print(plan.describe())
     print()
-    for vlabel, sim in (("unoptimized", sim_n), ("transformed", sim_c)):
-        print(
-            f"{vlabel:>12}: miss rate {100 * sim.miss_rate:6.2f}%  "
-            f"misses {sim.total_misses:6d}  "
-            f"false sharing {sim.misses.false_sharing:6d}"
-        )
+    print(_miss_line("unoptimized", sim_n))
+    print(_miss_line("transformed", sim_c))
     print()
     print("— unoptimized version —")
     print(obs.render_fs_table(sim_n, regions_n))
@@ -412,7 +405,7 @@ def cmd_profile(args) -> int:
         _record_manifest(
             kind="profile", label=f"{label}/{vlabel}", source=source,
             plan=vplan, nprocs=args.nprocs, block_size=args.block_size,
-            sim=sim,
+            config=pipe.config, sim=sim,
             fs_by_structure=obs.fs_table(sim, regions).fs_by_structure,
         )
     _finish_profiling(args, profiling)
@@ -422,8 +415,6 @@ def cmd_profile(args) -> int:
 def _default_bench_path(filename: str) -> str:
     """``benchmarks/results/<filename>`` at the repo root (best effort:
     walk up from this file looking for ROADMAP.md, else the cwd)."""
-    import os
-
     here = Path(__file__).resolve()
     for parent in here.parents:
         if (parent / "ROADMAP.md").exists():
@@ -432,8 +423,9 @@ def _default_bench_path(filename: str) -> str:
 
 
 def cmd_experiments(args) -> int:
+    config = _config(args)
     profiling = _begin_profiling(args)
-    lab = WorkloadLab()
+    lab = WorkloadLab(config=config)
     name = args.name or args.figure
     if name is None:
         print(
@@ -455,32 +447,17 @@ def cmd_experiments(args) -> int:
         print(render_table3(table3(lab=lab)))
     elif name == "headline":
         print(render_headline(headline(lab=lab)))
-    elif name == "rws":
-        import json
+    elif name in ("rws", "dynamic"):
         import os
 
-        result = rws()
-        print(render_rws(result))
-        out = args.bench_out or _default_bench_path("BENCH_rws.json")
+        result = (rws if name == "rws" else dynamic)(config=config)
+        print((render_rws if name == "rws" else render_dynamic)(result))
+        out = args.bench_out or _default_bench_path(f"BENCH_{name}.json")
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         with open(out, "w") as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"[rws record -> {out}]", file=sys.stderr)
-        if not result.ok:
-            return 1
-    elif name == "dynamic":
-        import json
-        import os
-
-        result = dynamic()
-        print(render_dynamic(result))
-        out = args.bench_out or _default_bench_path("BENCH_dynamic.json")
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"[dynamic record -> {out}]", file=sys.stderr)
+        print(f"[{name} record -> {out}]", file=sys.stderr)
         if not result.ok:
             return 1
     else:  # pragma: no cover - argparse restricts choices
@@ -493,6 +470,7 @@ def cmd_experiments(args) -> int:
         plan_desc="-",
         nprocs=0,
         block_size=0,
+        config=config,
         perf_snapshot=perf.snapshot(),
         span_timings=obs.flat_timings() if obs.enabled() else {},
     )
@@ -523,10 +501,15 @@ def cmd_verify(args) -> int:
     from repro.verify.fuzz import fuzz as run_fuzz
     from repro.verify.oracle import check_program
 
+    # verify's --sched is the fuzz axis, not a schedule: only the
+    # environment's protocol core applies here
+    config = RunConfig.from_env()
     if args.trace:
         # invariant-check a stored trace entry named explicitly
         run = trace_cache.load_file(args.trace)
-        violations = invariants.check_trace(run.trace, run.nprocs)
+        violations = invariants.check_trace(
+            run.trace, run.nprocs, kernel=config.kernel
+        )
         print(
             f"trace {args.trace}: {len(run.trace)} refs, "
             f"{run.nprocs} procs"
@@ -539,18 +522,10 @@ def cmd_verify(args) -> int:
     if args.file:
         # oracle + invariants over one explicit program, once per
         # scheduler leg (--sched both runs rr then steal)
-        from repro.runtime.stealing import RR, SchedConfig
-
         label, source = _resolve_source(args.file)
         checked = compile_source(source, filename=label)
-        legs = {
-            "rr": [("rr", RR)],
-            "steal": [("steal", SchedConfig("steal", seed=args.seed))],
-            "both": [
-                ("rr", RR),
-                ("steal", SchedConfig("steal", seed=args.seed)),
-            ],
-        }[args.sched]
+        legs = [("rr", RR), ("steal", SchedConfig("steal", seed=args.seed))]
+        legs = [leg for leg in legs if args.sched in (leg[0], "both")]
         failed = False
         for leg, cfg in legs:
             verdicts, base_run = check_program(
@@ -558,7 +533,9 @@ def cmd_verify(args) -> int:
             )
             for v in verdicts:
                 print(f"[{leg}] {v}")
-            violations = invariants.check_trace(base_run.trace, args.nprocs)
+            violations = invariants.check_trace(
+                base_run.trace, args.nprocs, kernel=config.kernel
+            )
             for v in violations:
                 print(f"invariant[{leg}]: {v}")
             if violations or [v for v in verdicts if not v.ok]:
@@ -584,6 +561,7 @@ def cmd_verify(args) -> int:
         plan_source="space" if args.plan_space else "fixed",
         sched=args.sched,
         progress=progress,
+        config=config,
     )
     print(report.summary())
     for f in report.failures:
@@ -850,13 +828,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *run_opts):
+        """The per-program flags, plus the run-config flags ``run_opts``
+        register: each command takes only the ones it honours."""
         p.add_argument(
             "file", help="parallel-C source file or workload name"
         )
         p.add_argument("-p", "--nprocs", type=int, default=8)
         p.add_argument("-b", "--block-size", type=int, default=128)
         p.add_argument("-v", "--verbose", action="store_true")
+        for opt in run_opts:
+            opt(p)
+
+    def kernel_opt(p):
         p.add_argument(
             "--sim-kernel", choices=["auto", "native", "python"],
             default=None, metavar="KERNEL",
@@ -864,10 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
             "error if unavailable), python (reference); also "
             "$REPRO_SIM_KERNEL — see docs/PERFORMANCE.md",
         )
-        sched_opts(p)
-        machine_opts(p)
 
-    def machine_opts(p):
+    def machine_opt(p):
         from repro.machine import MACHINES
 
         p.add_argument(
@@ -886,13 +868,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--sched-seed", type=int, default=None, metavar="N",
-            help="RNG seed for --sched steal (default 0; also "
-            "$REPRO_SCHED_SEED)",
+            help="RNG seed of a steal schedule (default 0)",
         )
         p.add_argument(
             "--grain", type=int, default=None, metavar="N",
             help="statement yields per steal-mode task chunk "
-            "(default 16; also $REPRO_SCHED_GRAIN)",
+            "(default 16)",
         )
 
     def profiled(p):
@@ -930,7 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="search the transform-plan space with the simulator "
         "in the loop",
     )
-    common(p)
+    # plans are scored at the KSR2 geometry: no --machine
+    common(p, sched_opts, kernel_opt)
     profiled(p)
     p.add_argument(
         "--strategy", choices=["exhaustive", "greedy", "beam"],
@@ -970,13 +952,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("run", help="execute a program")
-    common(p)
+    common(p, sched_opts)
     p.add_argument("-O", "--optimized", action="store_true",
                    help="run under the compiler-transformed layout")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("simulate", help="compare miss rates N vs C")
-    common(p)
+    common(p, sched_opts, kernel_opt, machine_opt)
     profiled(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -984,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="trace the pipeline and attribute misses to structures",
     )
-    common(p)
+    common(p, sched_opts, kernel_opt, machine_opt)
     profiled(p)
     p.set_defaults(func=cmd_profile)
 
@@ -1004,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default benchmarks/results/BENCH_<name>.json)",
     )
     sched_opts(p)
-    machine_opts(p)
+    machine_opt(p)
     profiled(p)
     p.set_defaults(func=cmd_experiments)
 
@@ -1248,35 +1230,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sim_kernel", None):
-        import os
-
-        from repro.sim.kernel import KERNEL_ENV
-
-        os.environ[KERNEL_ENV] = args.sim_kernel
-    # Thread the scheduler selection through the environment so every
-    # entry point (including tune/lab worker processes, which inherit
-    # the environment) resolves the same SchedConfig.  Verify's --sched
-    # is a fuzz *axis* ("both" is not a schedule) handled explicitly in
-    # cmd_verify, so only concrete kinds are exported.
-    if getattr(args, "sched", None) in ("rr", "steal") and args.command != "verify":
-        import os
-
-        from repro.runtime import stealing
-
-        os.environ[stealing.ENV_SCHED] = args.sched
-        if getattr(args, "sched_seed", None) is not None:
-            os.environ[stealing.ENV_SEED] = str(args.sched_seed)
-        if getattr(args, "grain", None) is not None:
-            os.environ[stealing.ENV_GRAIN] = str(args.grain)
-    # Same for the machine model: one environment knob, read wherever a
-    # simulation resolves its geometry (CLI commands, lab workers).
-    if getattr(args, "machine", None):
-        import os
-
-        from repro.machine.models import MACHINE_ENV
-
-        os.environ[MACHINE_ENV] = args.machine
     try:
         return args.func(args)
     except ReproError as e:

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.analysis import analyze_program
 from repro.analysis.summary import ProgramAnalysis
+from repro.config import RunConfig
 from repro.dynamic.overlay import DYN_BASE, AddressOverlay
 from repro.layout.datalayout import DataLayout, _unflatten
 from repro.layout.regions import build_region_map
@@ -229,7 +230,7 @@ def mitigate(
     static + dynamic arm.  ``analysis`` reuses a precomputed
     :func:`analyze_program` result across calls.
     """
-    model = resolve_machine(machine)
+    model = resolve_machine(machine or RunConfig.from_env().machine)
     config = model.cache_config(block_size)
     pa = analysis if analysis is not None else analyze_program(checked, nprocs)
     actions = _candidate_actions(pa, layout, block_size)

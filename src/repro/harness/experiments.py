@@ -18,9 +18,10 @@ Every driver returns plain dataclasses; the rendering lives in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
+from repro.config import RunConfig
 from repro.harness import parallel
 from repro.harness.parallel import Point, resolve_plan
 from repro.obs import spans as obs
@@ -62,22 +63,27 @@ def _spanned(fn):
 class WorkloadLab:
     """Caches pipelines and runs across experiments.
 
-    ``jobs`` bounds the worker processes used by :meth:`prefetch`
+    Every run executes under ``config``, in the :meth:`prefetch`
+    workers too.  ``jobs`` bounds those workers
     (default: the ``REPRO_JOBS`` environment knob, falling back to the
     CPU count).  Version labels are ``N``/``C``/``P`` plus the Table 2
     attribution form ``C[<kind>]``.
     """
 
-    def __init__(self, block_size: int = 128, jobs: Optional[int] = None):
+    def __init__(self, block_size: int = 128, jobs: Optional[int] = None,
+                 config: Optional[RunConfig] = None):
         self.block_size = block_size
         self.jobs = jobs
+        self.config = config or RunConfig.from_env()
         self._pipes: dict[str, Pipeline] = {}
         self._runs: dict[Point, VersionRun] = {}
 
     def pipeline(self, wl: Workload) -> Pipeline:
         pipe = self._pipes.get(wl.name)
         if pipe is None:
-            pipe = self._pipes[wl.name] = wl.pipeline(self.block_size)
+            pipe = self._pipes[wl.name] = wl.pipeline(
+                self.block_size, self.config
+            )
         return pipe
 
     def run(self, wl: Workload, version: str, nprocs: int) -> VersionRun:
@@ -106,7 +112,9 @@ class WorkloadLab:
         if len(todo) <= 1:
             return
         with obs.span("lab.prefetch", points=len(todo)):
-            produced = parallel.run_points(todo, self.block_size, self.jobs)
+            produced = parallel.run_points(
+                todo, self.block_size, self.jobs, config=self.config
+            )
             for (name, version, nprocs), run in produced.items():
                 wl = by_name(name)
                 pipe = self.pipeline(wl)
@@ -214,6 +222,7 @@ def _record_point(wl: Workload, version: str, vr: VersionRun, sim) -> None:
             plan_desc="natural" if vr.plan is None else vr.plan.describe(),
             nprocs=vr.nprocs,
             block_size=sim.config.block_size,
+            config=vr.config,
             sim=sim,
             fs_by_structure=attribution.fs_table(
                 sim, vr.regions()
@@ -376,6 +385,7 @@ def scalability(
         lambda P: lab.run(wl, "N", P).run,
         proc_counts,
         cfg=cfg,
+        config=lab.config,
     )
     result.baseline_cycles = base
     if "N" in wl.versions:
@@ -389,6 +399,7 @@ def scalability(
             proc_counts,
             baseline_cycles=base,
             cfg=cfg,
+            config=lab.config,
         )
         result.curves[version] = curve
     return result
@@ -583,6 +594,7 @@ def _record_rws_point(wl: Workload, vr: VersionRun, point: RwsPoint) -> None:
             plan_desc="natural",
             nprocs=point.nprocs,
             block_size=point.block_size,
+            config=vr.config,
             sim=sim,
             extra={
                 "sched": vr.run.sched,
@@ -598,6 +610,7 @@ def rws(
     block_sizes: Sequence[int] = RWS_BLOCK_SIZES,
     proc_counts: Sequence[int] = RWS_PROC_COUNTS,
     seeds: Sequence[int] = RWS_SEEDS,
+    config: Optional[RunConfig] = None,
 ) -> RwsResult:
     """Measure false sharing under randomized work stealing against the
     Cole–Ramachandran prediction.
@@ -610,8 +623,9 @@ def rws(
     count and the run's actual steal count.  The bypassed
     :class:`WorkloadLab` is deliberate: lab runs are keyed by (name,
     version, nprocs) with no scheduler axis, and every pipeline here
-    carries its own explicit :class:`SchedConfig`.
+    carries its own explicit :class:`SchedConfig` over ``config``.
     """
+    config = config or RunConfig.from_env()
     result = RwsResult(
         workloads=tuple(workloads),
         block_sizes=tuple(block_sizes),
@@ -621,15 +635,16 @@ def rws(
     for name in workloads:
         wl = by_name(name)
         for nprocs in proc_counts:
-            rr_vr = Pipeline(wl.source, sched=RR).run_unoptimized(nprocs)
+            rr_pipe = Pipeline(wl.source, config=replace(config, sched=RR))
+            rr_vr = rr_pipe.run_unoptimized(nprocs)
             fs_rr = {
                 bs: rr_vr.simulate(bs).misses.false_sharing
                 for bs in block_sizes
             }
             for seed in seeds:
-                pipe = Pipeline(
-                    wl.source, sched=SchedConfig("steal", seed=seed)
-                )
+                pipe = Pipeline(wl.source, config=replace(
+                    config, sched=SchedConfig("steal", seed=seed)
+                ))
                 vr = pipe.run_unoptimized(nprocs)
                 stats = vr.run.sched
                 assert stats is not None  # steal runs always carry stats
@@ -777,9 +792,11 @@ def _plan_verified(checked, plan, nprocs: int, cache: dict) -> bool:
     if got is None:
         base = cache.get("__base__")
         if base is None:
-            base = cache["__base__"] = observe(checked, None, nprocs)[0]
+            base = cache["__base__"] = observe(
+                checked, None, nprocs, sched=RR
+            )[0]
         got = cache[fp] = not diff_states(
-            base, observe(checked, plan, nprocs)[0]
+            base, observe(checked, plan, nprocs, sched=RR)[0]
         )
     return got
 
@@ -802,9 +819,9 @@ def _record_dynamic_point(
             plan_desc=dyn.plan.describe(),
             nprocs=vr.nprocs,
             block_size=dyn.result.config.block_size,
+            config=replace(vr.config, machine=model.name),
             sim=dyn.result,
             dynamic=dyn.counters(),
-            machine_name=model.name,
             extra={"arm": arm, "verified": verified},
         )
     )
@@ -816,6 +833,7 @@ def dynamic(
     machines: Sequence[str] = DYNAMIC_MACHINES,
     block_sizes: Sequence[int] = DYNAMIC_BLOCK_SIZES,
     nprocs: int = DYNAMIC_NPROCS,
+    config: Optional[RunConfig] = None,
 ) -> "DynamicResult":
     """Static vs dynamic vs hybrid false-sharing mitigation across
     machine geometries.
@@ -832,11 +850,13 @@ def dynamic(
       repairing whatever the static heuristics left behind.
 
     Every mitigated arm's accumulated plan is checked by the verify
-    oracle; a cell only counts as verified when both pass.
+    oracle; a cell only counts as verified when both pass.  Runs use
+    round-robin and the core and engine of ``config``.
     """
     from repro.dynamic import mitigate
     from repro.machine import get_machine
 
+    config = replace(config or RunConfig.from_env(), sched=RR)
     result = DynamicResult(
         workloads=tuple(workloads),
         machines=tuple(machines),
@@ -845,7 +865,7 @@ def dynamic(
     )
     for name in workloads:
         wl = by_name(name)
-        pipe = Pipeline(wl.source, sched=RR)
+        pipe = Pipeline(wl.source, config=config)
         nat = pipe.run_unoptimized(nprocs)
         stat = pipe.run_compiler(nprocs)
         pa = pipe.analysis(nprocs)

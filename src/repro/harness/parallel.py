@@ -8,6 +8,7 @@ results *deterministically*: points are submitted and collected in grid
 order, so the lab's caches end up byte-identical to a serial run no
 matter how the workers were scheduled.
 
+Each task carries the parent's :class:`~repro.config.RunConfig`.
 Workers return only the picklable :class:`~repro.runtime.trace.RunResult`
 payload (the compiled program holds ``id()``-keyed symbol tables and
 must never cross a process boundary); the parent re-derives the
@@ -15,7 +16,7 @@ compiled program, plan and layout from its own pipeline cache — cheap
 next to interpretation — and attaches the worker's run.
 
 ``REPRO_JOBS`` selects the worker count (default: the CPU count);
-``REPRO_JOBS=1`` forces the serial path.
+``REPRO_JOBS=1`` forces the serial path; a non-integer is an error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import perf
+from repro.config import RunConfig, env_number
 from repro.obs import spans as obs
 from repro.transform import TransformPlan
 
@@ -41,13 +43,7 @@ Point = tuple[str, str, int]
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS`` (default: CPU count)."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return max(env_number(JOBS_ENV, os.cpu_count() or 1), 1)
 
 
 def resolve_plan(
@@ -74,30 +70,31 @@ def resolve_plan(
 
 # -- worker side --------------------------------------------------------------
 
-#: Per-worker-process pipeline cache: (workload name, block size) -> Pipeline.
+#: Per-worker-process pipeline cache: (workload, block size, config).
 _worker_pipes: dict = {}
 
 
 def _run_point(
-    name: str, version: str, nprocs: int, block_size: int
+    name: str, version: str, nprocs: int, block_size: int,
+    config: RunConfig, profiling: bool,
 ) -> tuple["RunResult", dict[str, float], list[dict]]:
     """Interpret one grid point in a worker process.
 
     Returns the run plus the worker's perf-counter snapshot and span
-    snapshot, so the parent can fold stage timings (and, when profiling,
-    the span tree) back into its own trace.
+    snapshot, so the parent can fold stage timings (and, when
+    ``profiling``, the span tree) back into its own trace.
     """
-    from repro.harness.pipeline import Pipeline
     from repro.workloads.registry import by_name
 
     perf.reset()
+    if profiling:  # the flag, not the environment, carries it
+        obs.enable()
     obs.reset()
     wl = by_name(name)
-    pipe = _worker_pipes.get((name, block_size))
+    key = (name, block_size, config)
+    pipe = _worker_pipes.get(key)
     if pipe is None:
-        pipe = _worker_pipes[(name, block_size)] = Pipeline(
-            wl.source, block_size=block_size
-        )
+        pipe = _worker_pipes[key] = wl.pipeline(block_size, config)
     plan = resolve_plan(pipe, wl, version, nprocs)
     with obs.span("worker.point", point=f"{name}/{version}/{nprocs}"):
         vr = pipe.execute(nprocs, plan, version)
@@ -112,8 +109,10 @@ def run_points(
     block_size: int,
     jobs: Optional[int] = None,
     failures: Optional[dict[Point, str]] = None,
+    config: Optional[RunConfig] = None,
 ) -> dict[Point, "RunResult"]:
-    """Interpret ``points`` with up to ``jobs`` worker processes.
+    """Interpret ``points`` under ``config`` with up to ``jobs`` worker
+    processes.
 
     Returns runs keyed by point, populated in grid order (deterministic
     merge).  Falls back to an empty mapping when parallelism cannot
@@ -131,11 +130,15 @@ def run_points(
     jobs = min(jobs, len(points))
     if jobs <= 1 or len(points) <= 1:
         return {}
+    config = config or RunConfig.from_env()
     out: dict[Point, "RunResult"] = {}
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                (p, pool.submit(_run_point, p[0], p[1], p[2], block_size))
+                (p, pool.submit(
+                    _run_point, p[0], p[1], p[2], block_size, config,
+                    obs.enabled(),
+                ))
                 for p in points
             ]
             # Grid order, not completion order: deterministic merging.

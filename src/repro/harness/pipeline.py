@@ -32,8 +32,9 @@ from repro.analysis import ProgramAnalysis, analyze_program
 from repro.lang import CheckedProgram, compile_source
 from repro.layout import DataLayout
 from repro.layout.regions import RegionMap, build_region_map
+from repro.config import RunConfig
 from repro.machine import KSR2Config, TimingResult, time_run
-from repro.runtime import RunResult, SchedConfig, resolve_sched, run_program
+from repro.runtime import RunResult, run_program
 from repro.runtime import trace_cache
 from repro.sim import SimResult, simulate_run
 from repro.transform import TransformPlan, decide_transformations
@@ -49,6 +50,8 @@ class VersionRun:
     plan: Optional[TransformPlan]
     layout: DataLayout
     run: RunResult
+    #: what the run executed under; :meth:`simulate` uses it too
+    config: RunConfig
     #: wall-clock seconds spent interpreting (0.0 on a cache hit)
     interp_seconds: float = 0.0
     #: True when the run was replayed from the persistent trace cache
@@ -61,7 +64,7 @@ class VersionRun:
     _region_map: Optional[RegionMap] = None
 
     def simulate(self, block_size: int, **kw) -> SimResult:
-        return simulate_run(self.run, block_size, **kw)
+        return simulate_run(self.run, block_size, config=self.config, **kw)
 
     def regions(self) -> RegionMap:
         if self._region_map is None:
@@ -71,7 +74,7 @@ class VersionRun:
         return self._region_map
 
     def timing(self, cfg: KSR2Config | None = None) -> TimingResult:
-        return time_run(self.run, cfg)
+        return time_run(self.run, cfg, self.config)
 
 
 class Pipeline:
@@ -84,16 +87,15 @@ class Pipeline:
     """
 
     def __init__(self, source: str, *, block_size: int = 128,
-                 max_steps: int = 200_000_000,
-                 sched: Optional[SchedConfig] = None):
+                 max_steps: int = 200_000_000, filename: str = "<input>",
+                 config: Optional[RunConfig] = None):
         self.source = source
         self.block_size = block_size
         self.max_steps = max_steps
-        #: scheduling policy for every run of this pipeline — explicit
-        #: config wins, else the REPRO_SCHED* environment decides
-        self.sched = sched if sched is not None else resolve_sched()
+        #: the run configuration of every version this pipeline runs
+        self.config = config or RunConfig.from_env()
         with obs.span("pipeline.compile"):
-            self.checked = compile_source(source)
+            self.checked = compile_source(source, filename)
         self._analyses: dict[int, ProgramAnalysis] = {}
         self._plans: dict[int, TransformPlan] = {}
 
@@ -124,7 +126,7 @@ class Pipeline:
         return trace_cache.run_key(
             self.source, plan_desc, nprocs, self.block_size,
             quantum=4, max_steps=self.max_steps,
-            sched=self.sched.describe(),
+            sched=self.config.sched.describe(),
         )
 
     def execute(
@@ -156,7 +158,7 @@ class Pipeline:
                     t0 = time.perf_counter()
                     run = run_program(
                         self.checked, layout, nprocs,
-                        max_steps=self.max_steps, sched=self.sched,
+                        max_steps=self.max_steps, sched=self.config.sched,
                     )
                     interp_seconds = time.perf_counter() - t0
                     perf.add("interp.seconds", interp_seconds)
@@ -173,6 +175,7 @@ class Pipeline:
             plan=plan,
             layout=layout,
             run=run,
+            config=self.config,
             interp_seconds=interp_seconds,
             from_cache=from_cache,
         )
@@ -186,7 +189,6 @@ class Pipeline:
         cache_size: int = 32 * 1024,
         assoc: int = 4,
         word_invalidate: bool = False,
-        kernel: Optional[str] = None,
         chunk_refs: Optional[int] = None,
     ) -> tuple[SimResult, VersionRun]:
         """Interpret **and** simulate one version with bounded memory.
@@ -230,7 +232,8 @@ class Pipeline:
                         word_granularity=word_invalidate,
                     ),
                     nprocs, config,
-                    word_invalidate=word_invalidate, kernel=kernel,
+                    word_invalidate=word_invalidate,
+                    kernel=self.config.kernel,
                 )
                 run = stored.meta
                 res.extra_refs = sum(run.private_refs.values())
@@ -245,10 +248,11 @@ class Pipeline:
                 ):
                     res, run, stats = stream_simulate(
                         self.checked, layout, nprocs, config,
-                        word_invalidate=word_invalidate, kernel=kernel,
+                        word_invalidate=word_invalidate,
+                        kernel=self.config.kernel,
                         chunk_refs=chunk_refs, max_steps=self.max_steps,
                         sink=writer.add if writer.active else None,
-                        sched=self.sched,
+                        sched=self.config.sched,
                     )
             except BaseException:
                 writer.abort()
@@ -265,6 +269,7 @@ class Pipeline:
             plan=plan,
             layout=layout,
             run=run,
+            config=self.config,
             interp_seconds=interp_seconds,
             from_cache=from_cache,
             stream_stats=stats,

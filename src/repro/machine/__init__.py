@@ -12,10 +12,8 @@ from repro.machine.ksr2 import (
 )
 from repro.machine.models import (
     DEFAULT_MACHINE,
-    MACHINE_ENV,
     MACHINES,
     MachineModel,
-    active_machine,
     get_machine,
     resolve_machine,
 )
@@ -28,10 +26,8 @@ from repro.machine.speedup import (
 
 __all__ = [
     "DEFAULT_MACHINE",
-    "MACHINE_ENV",
     "MACHINES",
     "MachineModel",
-    "active_machine",
     "get_machine",
     "resolve_machine",
     "KSR2Config",

@@ -164,17 +164,21 @@ def execution_time(
     )
 
 
-def time_run(run: RunResult, cfg: KSR2Config | None = None) -> TimingResult:
-    """Simulate a run's trace at KSR2 cache geometry and model its time."""
+def time_run(
+    run: RunResult, cfg: KSR2Config | None = None, config=None
+) -> TimingResult:
+    """Simulate a run's trace at KSR2 cache geometry (on the engine and
+    core of the run's ``config``) and model its time."""
     cfg = cfg or KSR2Config()
-    config = CacheConfig(
+    cache = CacheConfig(
         size=cfg.cache_size, block_size=cfg.block_size, assoc=cfg.assoc
     )
     # Memoized per trace fingerprint: Figure 4, Table 3 and the
     # section-5 improvement sweep time the same runs — each is
     # simulated at the KSR2 geometry exactly once.
     sim = cached_simulate(
-        run.trace, run.nprocs, config,
+        run.trace, run.nprocs, cache,
         extra_refs=sum(run.private_refs.values()),
+        engine=config and config.engine, kernel=config and config.kernel,
     )
     return execution_time(run, sim, cfg)

@@ -11,11 +11,11 @@ grew a ``protocol`` field), the native-kernel pre-check (the C kernel
 is MSI-only; other protocols fall back to the Python core), the
 simulation memo keys, and run manifests.
 
-Selection: ``--machine <name>`` on the CLI or the ``REPRO_MACHINE``
-environment variable; :func:`get_machine` resolves a name,
-:func:`active_machine` resolves the environment (default
+Selection: the ``machine`` of a :class:`~repro.config.RunConfig`
+(``--machine <name>`` or ``REPRO_MACHINE``; default
 :data:`DEFAULT_MACHINE`, the KSR2 — which keeps every paper experiment
-bit-identical to the single-machine code).
+bit-identical to the single-machine code); :func:`get_machine`
+resolves a name.
 
 A model's ``line_size`` is its *native* coherence-unit size; block-size
 sweeps still override it per point (the sweep is the experiment), while
@@ -24,16 +24,11 @@ the protocol and cache geometry stay the machine's.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_MACHINE
 from repro.errors import ReproError
 from repro.sim.cache import CacheConfig
-
-#: Environment knob naming the active machine model.
-MACHINE_ENV = "REPRO_MACHINE"
-
-DEFAULT_MACHINE = "ksr2"
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,18 +165,9 @@ def get_machine(name: str) -> MachineModel:
     return model
 
 
-def active_machine() -> MachineModel:
-    """The machine selected by ``REPRO_MACHINE`` (default: ksr2)."""
-    return get_machine(os.environ.get(MACHINE_ENV) or DEFAULT_MACHINE)
-
-
-def resolve_machine(
-    machine: "MachineModel | str | None",
-) -> MachineModel:
+def resolve_machine(machine: "MachineModel | str") -> MachineModel:
     """Normalize a machine argument: a model passes through, a name is
-    looked up, None resolves the environment."""
-    if machine is None:
-        return active_machine()
+    looked up."""
     if isinstance(machine, MachineModel):
         return machine
     return get_machine(machine)

@@ -48,6 +48,7 @@ def build_curve(
     *,
     baseline_cycles: Optional[float] = None,
     cfg: KSR2Config | None = None,
+    config=None,
 ) -> tuple[SpeedupCurve, float]:
     """Time a version at each processor count.
 
@@ -62,7 +63,7 @@ def build_curve(
     base = baseline_cycles
     for nprocs in proc_counts:
         run = run_at(nprocs)
-        timing = time_run(run, cfg)
+        timing = time_run(run, cfg, config)
         curve.timings[nprocs] = timing
         if base is None and nprocs == min(proc_counts):
             base = timing.cycles

@@ -18,6 +18,7 @@ Schema 3 (one JSON object per line)::
       "schema": 3,
       "ts": "2026-08-06T12:00:00+00:00",   # UTC, ISO-8601
       "kind": "simulate" | "profile" | "experiment" | "dynamic" | ...,
+      "config": "machine=ksr2 sched=rr kernel=auto engine=fast",
       "workload": "Maxflow",
       "source_sha256": "...",              # hash of the source text
       "plan": "TransformPlan(...)",        # or "natural"
@@ -47,6 +48,8 @@ import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+
+from repro.config import RunConfig
 
 RUN_LOG_ENV = "REPRO_RUN_LOG"
 
@@ -122,6 +125,7 @@ def build_record(
     plan_desc: str,
     nprocs: int,
     block_size: int,
+    config=None,
     machine: dict | None = None,
     kernel: str | None = None,
     chunk_size: int | None = None,
@@ -137,6 +141,7 @@ def build_record(
 ) -> dict:
     """Assemble one manifest record (pure; does not write).
 
+    ``config`` is the run's :class:`~repro.config.RunConfig`.
     ``kernel`` names the protocol core that ran (``SimResult.kernel``);
     ``chunk_size`` is the refs-per-chunk of a streamed run (None for
     the monolithic path); ``stream`` is
@@ -152,6 +157,7 @@ def build_record(
         "schema": SCHEMA,
         "ts": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "kind": kind,
+        "config": (config or RunConfig.from_env()).describe(),
         "workload": workload,
         "source_sha256": source_hash(source),
         "plan": plan_desc,
@@ -182,10 +188,10 @@ def sim_record(
     plan_desc: str,
     nprocs: int,
     block_size: int,
+    config=None,
     sim=None,
     fs_by_structure: dict | None = None,
     dynamic: dict | None = None,
-    machine_name: str | None = None,
     chunk_size: int | None = None,
     stream: dict | None = None,
     span_timings: dict | None = None,
@@ -195,18 +201,15 @@ def sim_record(
     :class:`~repro.sim.coherence.SimResult` — the shared assembly used
     by the CLI commands and the experiment drivers, so every ingest
     path records the same shape (machine identity + geometry, miss
-    breakdown, kernel choice, perf snapshot).  ``machine_name``
-    defaults to the active :mod:`repro.machine.models` selection."""
+    breakdown, kernel choice, perf snapshot)."""
     from repro import perf as _perf
-    from repro.machine.models import active_machine
 
+    config = config or RunConfig.from_env()
     if sim is None:
         mach = {}
     else:
-        if machine_name is None:
-            machine_name = active_machine().name
         mach = {
-            "name": machine_name,
+            "name": config.machine,
             "protocol": sim.config.protocol,
             "line_size": sim.config.block_size,
             "cache_size": sim.config.size,
@@ -220,6 +223,7 @@ def sim_record(
         plan_desc=plan_desc,
         nprocs=nprocs,
         block_size=block_size,
+        config=config,
         machine=mach,
         kernel=None if sim is None else sim.kernel,
         chunk_size=chunk_size,

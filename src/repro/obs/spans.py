@@ -109,17 +109,15 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    """Turn span tracing on (also exports ``REPRO_PROFILE=1`` so worker
-    processes spawned afterwards trace too)."""
+    """Turn span tracing on (in this process; the experiment grid hands
+    the switch to its workers with each task)."""
     global _enabled
     _enabled = True
-    os.environ[PROFILE_ENV] = "1"
 
 
 def disable() -> None:
     global _enabled
     _enabled = False
-    os.environ.pop(PROFILE_ENV, None)
 
 
 def reset() -> None:

@@ -12,7 +12,6 @@ from repro.runtime.stealing import (
     SchedConfig,
     StealScheduler,
     fs_bound,
-    resolve_sched,
 )
 from repro.runtime.trace import RunResult, Trace, TraceBuffer
 
@@ -31,7 +30,6 @@ __all__ = [
     "SchedConfig",
     "StealScheduler",
     "fs_bound",
-    "resolve_sched",
     "RunResult",
     "Trace",
     "TraceBuffer",

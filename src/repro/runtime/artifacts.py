@@ -65,6 +65,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro import perf
+from repro.config import env_number
 
 log = logging.getLogger("repro.artifacts")
 
@@ -99,10 +100,7 @@ def default_store(
         if raw.lower() in _DISABLED:
             return None
         root = raw or Path.home() / ".cache" / "repro" / "artifacts"
-    try:
-        mb = float(os.environ.get(ENV_MAX_MB, "0"))
-    except ValueError:
-        mb = 0.0
+    mb = env_number(ENV_MAX_MB, 0.0, float)
     return ArtifactStore(root, max_bytes=int(mb * 1024 * 1024) if mb > 0 else 0)
 
 

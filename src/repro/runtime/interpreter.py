@@ -46,7 +46,8 @@ from repro.layout.datalayout import (
 )
 from repro.runtime import lower
 from repro.runtime.scheduler import Proc, Scheduler
-from repro.runtime.stealing import SchedConfig, StealScheduler, resolve_sched
+from repro.config import RunConfig
+from repro.runtime.stealing import SchedConfig, StealScheduler
 from repro.runtime.trace import RunResult, TraceBuffer
 
 #: Private (per-process stack) storage starts here; anything below is shared.
@@ -92,8 +93,7 @@ class Interpreter:
         #: :class:`repro.runtime.stream.ChunkSink`); the interpreter
         #: itself never holds more than the sink retains.
         self.trace = trace_sink if trace_sink is not None else TraceBuffer()
-        #: execution model: None resolves REPRO_SCHED/_SEED/_GRAIN
-        self.sched_config = sched if sched is not None else resolve_sched()
+        self.sched_config = sched or RunConfig.from_env().sched
         if self.sched_config.kind == "steal":
             self.sched: Scheduler = StealScheduler(
                 nprocs,
@@ -353,8 +353,8 @@ def run_program(
     processes and return the trace and counters.
 
     ``sched`` selects the execution model (round-robin or randomized
-    work stealing — see :mod:`repro.runtime.stealing`); None resolves
-    the ``REPRO_SCHED`` family of environment knobs."""
+    work stealing — see :mod:`repro.runtime.stealing`); None takes
+    ``RunConfig.from_env().sched``."""
     return Interpreter(
         checked, layout, nprocs,
         quantum=quantum, max_steps=max_steps, sched=sched,

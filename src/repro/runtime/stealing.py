@@ -39,107 +39,25 @@ visible to the coherence simulation as false-sharing traffic.
 Configuration
 -------------
 
-``REPRO_SCHED``       ``rr`` (default) or ``steal``.
-``REPRO_SCHED_SEED``  RNG seed for the steal schedule (default 0).
-``REPRO_SCHED_GRAIN`` yields one task chunk runs before requeueing
-                      (default 16).
-
-:func:`resolve_sched` folds the environment into a :class:`SchedConfig`;
-every execution entry point (``run_program``, ``TraceStream``,
-``Pipeline``, the oracle) accepts an explicit config that overrides it.
+A :class:`SchedConfig` pins one policy (the ``sched`` of a
+:class:`~repro.config.RunConfig`); every execution entry point takes it
+explicitly.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
-from dataclasses import dataclass
 
+from repro.config import DEFAULT_GRAIN, RR, SchedConfig  # noqa: F401
 from repro.errors import RuntimeFault
 from repro.runtime.scheduler import Proc, Scheduler
-
-ENV_SCHED = "REPRO_SCHED"
-ENV_SEED = "REPRO_SCHED_SEED"
-ENV_GRAIN = "REPRO_SCHED_GRAIN"
-
-SCHED_KINDS = ("rr", "steal")
-
-#: Statement-boundary yields one task chunk runs before it is returned
-#: to its cpu's deque (the task-grain of the lowered parallel loop).
-DEFAULT_GRAIN = 16
 
 #: Constant factor of the Cole–Ramachandran FS overhead bound (their
 #: O((S + P)·B/w) extra misses for S steals on P processors with
 #: B-byte blocks and w-byte words), calibrated once against the rws
 #: experiment so every measured workload sits inside it with margin.
 RWS_BOUND_C = 8
-
-
-@dataclass(frozen=True, slots=True)
-class SchedConfig:
-    """One scheduling policy, fully pinned (hashable, cache-keyable)."""
-
-    kind: str = "rr"
-    seed: int = 0
-    grain: int = DEFAULT_GRAIN
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHED_KINDS:
-            raise ValueError(
-                f"scheduler kind must be one of {SCHED_KINDS}; "
-                f"got {self.kind!r}"
-            )
-        if self.grain < 1:
-            raise ValueError(f"grain must be >= 1; got {self.grain}")
-
-    def describe(self) -> str:
-        """Canonical string form — joins the trace-cache key, so two
-        configs that can produce different traces must never collide."""
-        if self.kind == "rr":
-            return "rr"
-        return f"steal:seed={self.seed}:grain={self.grain}"
-
-
-#: The deterministic default; module-level so identity comparisons and
-#: repeated resolution never allocate.
-RR = SchedConfig()
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise RuntimeFault(f"{name} must be an integer; got {raw!r}")
-
-
-def resolve_sched(
-    kind: str | None = None,
-    seed: int | None = None,
-    grain: int | None = None,
-) -> SchedConfig:
-    """Fold explicit arguments over the environment knobs.
-
-    Explicit arguments win; unset ones fall back to ``REPRO_SCHED`` /
-    ``REPRO_SCHED_SEED`` / ``REPRO_SCHED_GRAIN``, then to the rr
-    defaults.
-    """
-    if kind is None:
-        kind = os.environ.get(ENV_SCHED, "rr").strip().lower() or "rr"
-    if kind not in SCHED_KINDS:
-        raise RuntimeFault(
-            f"{ENV_SCHED} must be one of {SCHED_KINDS}; got {kind!r}"
-        )
-    if seed is None:
-        seed = _env_int(ENV_SEED, 0)
-    if grain is None:
-        grain = _env_int(ENV_GRAIN, DEFAULT_GRAIN)
-    if kind == "rr":
-        return RR
-    return SchedConfig(kind=kind, seed=seed, grain=grain)
 
 
 def fs_bound(

@@ -29,7 +29,6 @@ Environment knobs: ``REPRO_TRACE_CHUNK`` (references per chunk, default
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro import perf
+from repro.config import env_number
 from repro.obs import spans as obs
 from repro.runtime.trace import RunResult, Trace, TraceBuffer
 
@@ -87,18 +87,12 @@ class StreamStats:
 
 
 def default_chunk_refs() -> int:
-    try:
-        n = int(os.environ.get(CHUNK_ENV, DEFAULT_CHUNK_REFS))
-    except ValueError:
-        return DEFAULT_CHUNK_REFS
+    n = env_number(CHUNK_ENV, DEFAULT_CHUNK_REFS)
     return n if n > 0 else DEFAULT_CHUNK_REFS
 
 
 def default_queue_chunks() -> int:
-    try:
-        n = int(os.environ.get(QUEUE_ENV, DEFAULT_QUEUE_CHUNKS))
-    except ValueError:
-        return DEFAULT_QUEUE_CHUNKS
+    n = env_number(QUEUE_ENV, DEFAULT_QUEUE_CHUNKS)
     return n if n > 0 else DEFAULT_QUEUE_CHUNKS
 
 

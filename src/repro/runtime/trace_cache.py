@@ -50,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import zipfile
 from pathlib import Path
 from typing import Iterator
@@ -58,6 +57,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import perf
+from repro.config import env_number
 from repro.runtime import artifacts
 from repro.runtime.trace import RunResult, Trace
 
@@ -84,19 +84,12 @@ _COLUMNS = ("proc", "addr", "size", "is_write")
 
 
 def min_refs() -> int:
-    try:
-        return int(os.environ.get(_ENV_MIN, "4096"))
-    except ValueError:
-        return 4096
+    return env_number(_ENV_MIN, 4096)
 
 
 def shard_refs() -> int:
     """References per stored shard (0 disables sharding)."""
-    try:
-        n = int(os.environ.get(_ENV_SHARD, str(1 << 20)))
-    except ValueError:
-        return 1 << 20
-    return max(n, 0)
+    return max(env_number(_ENV_SHARD, 1 << 20), 0)
 
 
 def run_key(

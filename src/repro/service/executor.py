@@ -33,6 +33,7 @@ from __future__ import annotations
 import time
 
 from repro import perf
+from repro.config import RunConfig
 from repro.errors import ReproError
 from repro.harness.pipeline import Pipeline
 from repro.obs import attribution, manifest
@@ -61,8 +62,11 @@ def _attribution_evidence(vr, block_size: int) -> dict:
     }
 
 
-def execute_job(spec: JobSpec, attempt: int = 1) -> dict:
-    """Run one job attempt to completion; returns the result payload.
+def execute_job(
+    spec: JobSpec, attempt: int = 1, config: RunConfig | None = None
+) -> dict:
+    """Run one job attempt to completion under ``config``; returns the
+    result payload.
 
     Raises :class:`WorkerDeath` for the first ``spec.inject_failures``
     attempts (the CI smoke test drives the retry path with this), and
@@ -84,7 +88,9 @@ def execute_job(spec: JobSpec, attempt: int = 1) -> dict:
                   nprocs=spec.nprocs):
         t = time.perf_counter()
         try:
-            pipe = Pipeline(spec.source, block_size=spec.block_size)
+            pipe = Pipeline(
+                spec.source, block_size=spec.block_size, config=config
+            )
         except ReproError:
             raise
         except Exception as e:
@@ -104,6 +110,7 @@ def execute_job(spec: JobSpec, attempt: int = 1) -> dict:
                 objective=Objective.parse(spec.objective),
                 budget=spec.budget, top=spec.top, jobs=spec.jobs,
                 verify_front=False,  # the verify stage checks the pick
+                config=pipe.config,
             )
             plan = report.best.plan
             tune_part = {
@@ -119,7 +126,7 @@ def execute_job(spec: JobSpec, attempt: int = 1) -> dict:
         verdicts, natural_run = check_program(
             pipe.checked, spec.nprocs,
             block_size=spec.block_size,
-            plans=[("service", plan)],
+            plans=[("service", plan)], sched=pipe.config.sched,
         )
         verified = all(v.ok for v in verdicts)
         t = _mark("verify", t)
@@ -162,7 +169,7 @@ def execute_job(spec: JobSpec, attempt: int = 1) -> dict:
     return result
 
 
-def record_job(record) -> None:
+def record_job(record, config: RunConfig | None = None) -> None:
     """Append one ``kind="service"`` manifest line for a finished job.
 
     Best-effort like every manifest write: a missing or unwritable
@@ -176,6 +183,7 @@ def record_job(record) -> None:
         plan_desc=res.get("plan", ""),
         nprocs=spec.nprocs,
         block_size=spec.block_size,
+        config=config,
         misses=(
             {}
             if "recommended" not in res

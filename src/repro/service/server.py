@@ -63,6 +63,7 @@ import time
 from typing import Optional
 
 from repro import perf
+from repro.config import RunConfig, env_number
 from repro.errors import ReproError
 from repro.service import executor as job_executor
 from repro.service.jobs import JobRecord, JobSpec, JobState
@@ -95,7 +96,8 @@ def _is_retryable(exc: BaseException) -> bool:
 
 
 class JobManager:
-    """Owns the job table, the bounded queue, and the worker tasks."""
+    """Owns the job table, the bounded queue, and the worker tasks;
+    every job runs under the ``config`` resolved at construction."""
 
     def __init__(
         self,
@@ -105,20 +107,17 @@ class JobManager:
         retries: Optional[int] = None,
         timeout: Optional[float] = None,
         backoff: float = DEFAULT_BACKOFF,
+        config: Optional[RunConfig] = None,
     ):
+        self.config = config or RunConfig.from_env()
         self.jobs: dict[str, JobRecord] = {}
         self.workers = max(int(workers), 1)
         self.queue_limit = max(int(queue_limit), 1)
-        self.retries = (
-            retries
-            if retries is not None
-            else int(os.environ.get(ENV_RETRIES, DEFAULT_RETRIES))
-        )
-        self.default_timeout = (
-            timeout
-            if timeout is not None
-            else float(os.environ.get(ENV_TIMEOUT, DEFAULT_TIMEOUT))
-        )
+        if retries is None:
+            retries = env_number(ENV_RETRIES, DEFAULT_RETRIES)
+        if timeout is None:
+            timeout = env_number(ENV_TIMEOUT, DEFAULT_TIMEOUT, float)
+        self.retries, self.default_timeout = retries, timeout
         self.backoff = backoff
         self._queue: asyncio.Queue[str] = asyncio.Queue(self.queue_limit)
         self._ids = itertools.count(1)
@@ -215,7 +214,7 @@ class JobManager:
         if event is not None:
             event.set()
         try:
-            job_executor.record_job(job)
+            job_executor.record_job(job, self.config)
         except Exception:  # manifest writes never fail a job
             log.exception("manifest record failed for %s", job.id)
         log.info("%s -> %s (%.2fs exec, %d retries)%s",
@@ -245,7 +244,8 @@ class JobManager:
             try:
                 result = await asyncio.wait_for(
                     loop.run_in_executor(
-                        None, job_executor.execute_job, job.spec, attempt
+                        None, job_executor.execute_job, job.spec, attempt,
+                        self.config,
                     ),
                     timeout,
                 )

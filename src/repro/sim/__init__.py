@@ -14,14 +14,13 @@ from repro.sim.coherence import (
     simulate_trace,
 )
 from repro.sim.engine import (
-    active_engine,
     simulate,
     simulate_event_chunks,
     simulate_trace_chunked,
     simulate_trace_fast,
 )
 from repro.sim.events import EventChunker, EventStream, build_events
-from repro.sim.kernel import active_kernel, kernel_mode
+from repro.sim.kernel import active_kernel
 from repro.sim.simcache import cached_events, cached_simulate
 from repro.sim.metrics import (
     BlockSizeSweep,
@@ -46,9 +45,7 @@ __all__ = [
     "MissCounts",
     "SimResult",
     "simulate_trace",
-    "active_engine",
     "active_kernel",
-    "kernel_mode",
     "simulate",
     "simulate_event_chunks",
     "simulate_trace_chunked",

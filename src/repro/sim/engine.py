@@ -7,19 +7,10 @@ bit-identical to :func:`repro.sim.coherence.simulate_trace` (enforced by
 ``tests/test_engine_equivalence.py``, ``tests/test_kernel.py`` and the
 hypothesis property suites).
 
-Two orthogonal selections compose here:
-
-Engine — ``REPRO_SIM_ENGINE``
-    * ``fast`` (default): vectorized precompute + compaction;
-    * ``reference``: the original per-reference Python loop.
-
-Protocol core (kernel) — ``REPRO_SIM_KERNEL``
-    * ``auto`` (default): the compiled C kernel of
-      :mod:`repro.sim.kernel` when available, Python otherwise;
-    * ``native``: require the compiled kernel;
-    * ``python``: always the :class:`~repro.sim.coherence.CoherenceSim`
-      reference core.
-
+Two orthogonal selections of a :class:`~repro.config.RunConfig` compose
+here: the ``engine`` — ``fast`` (default: vectorized precompute +
+compaction) or ``reference`` (the original per-reference Python loop)
+— and the protocol core ``kernel`` (modes in :mod:`repro.sim.kernel`).
 The kernel only applies to the fast engine's block-invalidate mode;
 ``word_invalidate=True`` and the reference engine always run the Python
 core.
@@ -43,11 +34,11 @@ kernel, chunking) on top of this.
 from __future__ import annotations
 
 import logging
-import os
 import time as _time
 from typing import Iterable, Iterator
 
 from repro import perf
+from repro.config import RunConfig
 from repro.errors import SimulationError
 from repro.obs import spans as obs
 from repro.runtime.trace import Trace
@@ -59,27 +50,13 @@ from repro.sim.kernel import (
     NativeSim,
     active_kernel,
     chunk_fits,
-    kernel_mode,
 )
 from repro.sim.events import EventChunker, EventStream, build_events
 
 log = logging.getLogger("repro.sim.engine")
 
-#: Environment knob naming the simulation engine to use.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
 FAST = "fast"
 REFERENCE = "reference"
-
-
-def active_engine() -> str:
-    """The engine selected by ``REPRO_SIM_ENGINE`` (default: fast)."""
-    name = os.environ.get(ENGINE_ENV, FAST).strip().lower() or FAST
-    if name not in (FAST, REFERENCE):
-        raise ValueError(
-            f"{ENGINE_ENV} must be '{FAST}' or '{REFERENCE}', got {name!r}"
-        )
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +103,26 @@ def resolve_kernel(
 ) -> str:
     """Pick the protocol core for one simulation.
 
-    ``word_invalidate`` always runs on the Python core (the per-word
-    state machine is a cold comparison path, out of the C kernel's
-    scope).  The C kernel implements the paper's MSI protocol only, so
-    a non-MSI ``protocol`` likewise needs the Python core: ``auto``
-    mode logs the fallback reason, while ``REPRO_SIM_KERNEL=native``
-    raises (silently simulating the wrong protocol would poison every
-    downstream miss count).  With the full event stream in hand the
-    kernel envelope is pre-checked; an ineligible stream falls back to
-    Python in ``auto`` mode and raises under ``native``.
+    ``kernel`` is the requested mode (``auto``/``native``/``python``).
+    ``word_invalidate`` always runs on the Python core (a cold
+    comparison path, out of the C kernel's scope).  The C kernel is
+    MSI-only, and with the full event stream in hand its envelope is
+    pre-checked: a non-MSI ``protocol`` or an ineligible stream falls
+    back to Python under ``auto`` and raises under ``native``
+    (silently simulating the wrong protocol would poison every
+    downstream miss count).
     """
     if word_invalidate:
         return PYTHON
-    resolved = kernel or active_kernel()
+    mode = kernel or RunConfig.from_env().kernel
+    if mode == NATIVE and protocol != "msi":
+        raise SimulationError(
+            f"the native kernel implements the MSI protocol only "
+            f"(machine protocol is {protocol!r}) and kernel mode "
+            f"native forbids the Python fallback"
+        )
+    resolved = active_kernel(mode)
     if resolved == NATIVE and protocol != "msi":
-        if kernel == NATIVE or kernel_mode() == NATIVE:
-            raise SimulationError(
-                f"the native kernel implements the MSI protocol only "
-                f"(machine protocol is {protocol!r}) and "
-                f"REPRO_SIM_KERNEL=native forbids the Python fallback"
-            )
         log.info(
             "native kernel skipped: protocol %r needs the Python core "
             "(the C kernel is MSI-only)", protocol,
@@ -155,11 +132,11 @@ def resolve_kernel(
     if resolved == NATIVE and events is not None and not chunk_fits(
         events.proc, events.block
     ):
-        if kernel is None and kernel_mode() == NATIVE:
+        if mode == NATIVE:
             raise SimulationError(
                 "trace exceeds the native kernel envelope "
                 "(procs in [-1, 62], blocks < 2**50) and "
-                "REPRO_SIM_KERNEL=native forbids the Python fallback"
+                "kernel mode native forbids the Python fallback"
             )
         perf.add("kernel.envelope_fallback")
         return PYTHON
@@ -371,7 +348,7 @@ def simulate(
     """Simulate ``trace`` with the selected engine (uncached)."""
     from repro.sim.coherence import simulate_trace
 
-    engine = engine or active_engine()
+    engine = engine or RunConfig.from_env().engine
     if engine == REFERENCE:
         with perf.timer("sim.reference"):
             return simulate_trace(

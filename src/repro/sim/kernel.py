@@ -8,7 +8,8 @@ is all it needs.  The pure-Python :class:`~repro.sim.coherence.CoherenceSim`
 stays the always-available reference path; the kernel must match it
 bit-for-bit (``tests/test_kernel.py``, CI's ``kernel-smoke`` job).
 
-Selection — ``REPRO_SIM_KERNEL``:
+Selection — the ``kernel`` of a :class:`~repro.config.RunConfig`
+(``--sim-kernel`` or ``REPRO_SIM_KERNEL``):
 
 ``auto`` (default)
     Use the native kernel when it can be built/loaded *and* the inputs
@@ -47,12 +48,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import perf
+from repro.config import RunConfig
 from repro.errors import SimulationError
 
 log = logging.getLogger("repro.sim.kernel")
 
-#: Environment knob naming the protocol kernel to use.
-KERNEL_ENV = "REPRO_SIM_KERNEL"
 #: Override the shared-object cache directory.
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 #: Override the compiler executable (default: $CC, then cc, then gcc).
@@ -61,8 +61,6 @@ CC_ENV = "CC"
 NATIVE = "native"
 PYTHON = "python"
 AUTO = "auto"
-
-_MODES = (NATIVE, PYTHON, AUTO)
 
 #: Kernel envelope limits (keep in sync with _kernel.c).
 MAX_PROC = 62
@@ -86,29 +84,19 @@ _U8P = ctypes.POINTER(ctypes.c_uint8)
 _MAX_PROCS_ROWS = 64  # counts matrix rows in the C kernel
 
 
-def kernel_mode() -> str:
-    """The mode requested via ``REPRO_SIM_KERNEL`` (default: auto)."""
-    raw = os.environ.get(KERNEL_ENV, AUTO).strip().lower() or AUTO
-    if raw not in _MODES:
-        raise SimulationError(
-            f"{KERNEL_ENV} must be one of {', '.join(_MODES)}; got {raw!r}"
-        )
-    return raw
-
-
-def active_kernel() -> str:
-    """Resolve the mode to the kernel that will actually run
-    (``native`` or ``python``)."""
-    mode = kernel_mode()
+def active_kernel(mode: str | None = None) -> str:
+    """Resolve a mode to the kernel that will actually run (``native``
+    or ``python``)."""
+    mode = mode or RunConfig.from_env().kernel
     if mode == PYTHON:
         return PYTHON
-    if load_kernel() is not None:
+    if load_kernel(mode) is not None:
         return NATIVE
     if mode == NATIVE:
         raise SimulationError(
-            "REPRO_SIM_KERNEL=native but the native kernel is unavailable "
-            "(no C compiler, or the build failed — see the repro.sim.kernel "
-            "log); set REPRO_SIM_KERNEL=python or auto to fall back"
+            "the native kernel was requested but is unavailable (no C "
+            "compiler, or the build failed — see the repro.sim.kernel "
+            "log); use --sim-kernel python or auto to fall back"
         )
     return PYTHON
 
@@ -166,16 +154,16 @@ def _build(src: Path, out: Path) -> bool:
             pass
 
 
-def load_kernel() -> ctypes.CDLL | None:
+def load_kernel(mode: str | None = None) -> ctypes.CDLL | None:
     """Build (if needed) and load the native kernel, memoized per
     process.  Returns None when unavailable (mode ``python``, no
     compiler, or a failed build/load)."""
     global _lib, _load_attempted
+    if (mode or RunConfig.from_env().kernel) == PYTHON:
+        return None
     if _load_attempted:
         return _lib
     _load_attempted = True
-    if kernel_mode() == PYTHON:
-        return None
     src = _source_path()
     try:
         text = src.read_bytes()
@@ -253,7 +241,7 @@ class NativeSim:
     __slots__ = ("_lib", "_handle", "nprocs", "config")
 
     def __init__(self, nprocs: int, config):
-        lib = load_kernel()
+        lib = load_kernel(NATIVE)
         if lib is None:
             raise SimulationError("native kernel unavailable")
         self._lib = lib

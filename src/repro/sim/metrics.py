@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.layout.regions import RegionMap
 from repro.runtime.trace import RunResult
 from repro.sim.cache import CacheConfig
@@ -151,26 +152,22 @@ def simulate_run(
     assoc: int | None = None,
     machine=None,
     word_invalidate: bool = False,
-    engine: str | None = None,
+    config: RunConfig | None = None,
 ) -> SimResult:
     """Simulate a run's trace at one block size, counting the run's
     private references into the miss-rate denominator.
 
-    The cache shape and coherence protocol come from the active
-    :class:`~repro.machine.models.MachineModel` (``machine`` — a model,
-    a registry name, or None to resolve ``REPRO_MACHINE``; the default
-    ksr2 reproduces the original hard-coded 32 KB / 4-way / MSI
-    geometry exactly).  Explicit ``cache_size``/``assoc`` override the
-    machine's shape.
-
-    Routed through the fast-path engine and the per-trace result memo
-    (:mod:`repro.sim.simcache`); set ``engine="reference"`` — or export
-    ``REPRO_SIM_ENGINE=reference`` — to force the original
-    one-reference-at-a-time simulator."""
+    ``config`` selects the machine, the engine and the protocol core;
+    ``machine`` (a model or a registry name) overrides its machine.
+    The machine sets the cache shape and coherence protocol (the
+    default ksr2 reproduces the original hard-coded 32 KB / 4-way / MSI
+    geometry exactly); explicit ``cache_size``/``assoc`` override its
+    shape.  Routed through the result memo (:mod:`repro.sim.simcache`)."""
     from repro.machine.models import resolve_machine
 
-    model = resolve_machine(machine)
-    config = CacheConfig(
+    config = config or RunConfig.from_env()
+    model = resolve_machine(machine or config.machine)
+    cfg = CacheConfig(
         size=cache_size if cache_size is not None else model.cache_size,
         block_size=block_size,
         assoc=assoc if assoc is not None else model.assoc,
@@ -178,8 +175,9 @@ def simulate_run(
     )
     extra = sum(run.private_refs.values())
     return cached_simulate(
-        run.trace, run.nprocs, config, extra_refs=extra,
-        word_invalidate=word_invalidate, engine=engine,
+        run.trace, run.nprocs, cfg, extra_refs=extra,
+        word_invalidate=word_invalidate, engine=config.engine,
+        kernel=config.kernel,
     )
 
 

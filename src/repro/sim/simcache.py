@@ -40,12 +40,13 @@ from typing import Optional
 import numpy as np
 
 from repro import perf
+from repro.config import RunConfig
 from repro.obs import spans as obs
 from repro.runtime import artifacts
 from repro.runtime.trace import Trace
 from repro.sim.cache import CacheConfig
 from repro.sim.coherence import PerProcCounts, MissCounts, SimResult
-from repro.sim.engine import REFERENCE, active_engine, simulate_trace_fast
+from repro.sim.engine import PYTHON, REFERENCE, simulate_trace_fast
 from repro.sim.events import EventStream, build_events
 
 #: Bounds (entries) for the two memo tables.
@@ -207,7 +208,8 @@ def cached_simulate(
     """Simulate with the selected engine, memoizing per
     (trace fingerprint, geometry, engine, kernel, chunking).
 
-    The *resolved* kernel variant (native vs python) and the chunking
+    ``engine`` and the kernel mode come from the run's config.  The
+    *resolved* kernel variant (native vs python) and the chunking
     parameters are part of the memo key: two configurations that are
     merely asserted equivalent must never share a cache slot, or a bug
     in one could masquerade as the other's result (regression-tested in
@@ -223,14 +225,19 @@ def cached_simulate(
     from repro.sim.coherence import simulate_trace
     from repro.sim.engine import resolve_kernel, simulate_trace_chunked
 
-    engine = engine or active_engine()
+    if engine is None or kernel is None:
+        env = RunConfig.from_env()
+        engine, kernel = engine or env.engine, kernel or env.kernel
     if engine == REFERENCE:
-        resolved_kernel = "python"
+        resolved_kernel = PYTHON
     else:
         resolved_kernel = resolve_kernel(
             word_invalidate=word_invalidate, kernel=kernel,
             protocol=config.protocol,
         )
+    # a python resolution is final; a native one is re-checked against
+    # the kernel envelope under the requested mode
+    core = PYTHON if resolved_kernel == PYTHON else kernel
     key = (
         trace.fingerprint, nprocs, config.size, config.block_size,
         config.assoc, config.protocol, word_invalidate, extra_refs, engine,
@@ -269,7 +276,7 @@ def cached_simulate(
                 got = simulate_trace_chunked(
                     trace, nprocs, config, chunk_refs,
                     extra_refs=extra_refs, word_invalidate=word_invalidate,
-                    kernel=resolved_kernel,
+                    kernel=core,
                 )
         else:
             events = cached_events(
@@ -279,7 +286,7 @@ def cached_simulate(
                 got = simulate_trace_fast(
                     trace, nprocs, config,
                     extra_refs=extra_refs, word_invalidate=word_invalidate,
-                    events=events, kernel=resolved_kernel,
+                    events=events, kernel=core,
                 )
     _results[key] = got
     while len(_results) > MAX_RESULTS:

@@ -152,6 +152,8 @@ def score_version(
         vr.run.nprocs,
         config,
         extra_refs=sum(vr.run.private_refs.values()),
+        engine=vr.config.engine,
+        kernel=vr.config.kernel,
     )
     timing = execution_time(vr.run, sim, cfg)
     mem = layout_bytes(vr.layout)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import perf
+from repro.config import RunConfig
 from repro.obs import manifest
 from repro.obs import spans as obs
 from repro.harness.parallel import map_tasks
@@ -94,7 +95,7 @@ class TuneReport:
 # Plan evaluation (parent + worker sides)
 # ---------------------------------------------------------------------------
 
-#: Per-worker pipeline cache: (source hash, block size) -> Pipeline.
+#: Per-worker pipeline cache: (source hash, block size, config).
 _worker_pipes: dict = {}
 
 
@@ -105,12 +106,14 @@ def _eval_plan_task(
     block_size: int,
     natural_bytes: int,
     cpi: float,
+    config: RunConfig,
 ) -> PlanScore:
     """Score one plan in a worker process (picklable entry point)."""
-    key = (hash(source), block_size)
+    key = (hash(source), block_size, config)
     pipe = _worker_pipes.get(key)
     if pipe is None:
-        pipe = _worker_pipes[key] = Pipeline(source, block_size=block_size)
+        pipe = _worker_pipes[key] = Pipeline(source, block_size=block_size,
+                                              config=config)
     vr = pipe.execute(nprocs, plan, version="T")
     return score_version(
         vr, natural_bytes=natural_bytes, cfg=KSR2Config(cpi=cpi)
@@ -147,7 +150,8 @@ def _make_score_many(
         results = map_tasks(
             _eval_plan_task,
             [
-                (source, plan, nprocs, block_size, natural_bytes, cpi)
+                (source, plan, nprocs, block_size, natural_bytes, cpi,
+                 pipe.config)
                 for plan in plans
             ],
             jobs=jobs,
@@ -190,12 +194,14 @@ def tune_source(
     jobs: int = 1,
     cpi: float = 4.0,
     verify_front: bool = True,
+    config: Optional[RunConfig] = None,
 ) -> TuneReport:
-    """Tune one program's transform plan; see the module docstring."""
+    """Tune one program's transform plan under ``config`` (plans are
+    scored at the KSR2 geometry); see the module docstring."""
     objective = objective or Objective()
     t0 = time.perf_counter()
     with obs.span("tune", workload=label, strategy=strategy, nprocs=nprocs):
-        pipe = Pipeline(source, block_size=block_size)
+        pipe = Pipeline(source, block_size=block_size, config=config)
         with obs.span("tune.analyze"):
             pa = pipe.analysis(nprocs)
             heuristic_plan = pipe.compiler_plan(nprocs).canonical()
@@ -241,7 +247,8 @@ def tune_source(
                     (e.fingerprint[:12], e.payload.plan) for e in members
                 ]
                 verdicts, _base = check_program(
-                    pipe.checked, nprocs, block_size=block_size, plans=plans
+                    pipe.checked, nprocs, block_size=block_size, plans=plans,
+                    sched=pipe.config.sched,
                 )
                 for entry, verdict in zip(members, verdicts):
                     front.append(
@@ -278,7 +285,7 @@ def tune_source(
         front=front,
         seconds=time.perf_counter() - t0,
     )
-    _record_manifest(report, source)
+    _record_manifest(report, source, pipe.config)
     return report
 
 
@@ -288,7 +295,7 @@ def tune_workload(wl, **kw) -> TuneReport:
     return tune_source(wl.source, wl.name, **kw)
 
 
-def _record_manifest(report: TuneReport, source: str) -> None:
+def _record_manifest(report: TuneReport, source: str, config) -> None:
     rec = manifest.build_record(
         kind="tune",
         workload=report.workload,
@@ -296,6 +303,7 @@ def _record_manifest(report: TuneReport, source: str) -> None:
         plan_desc=report.best.plan.describe(),
         nprocs=report.nprocs,
         block_size=report.block_size,
+        config=config,
         misses={
             "false": report.best.score.fs_misses,
             "total": report.best.score.total_misses,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.harness.parallel import map_tasks
 from repro.lang import compile_source
+from repro.config import RunConfig
 from repro.runtime.stealing import RR, SchedConfig
 from repro.verify import invariants, oracle, progen
 
@@ -142,6 +143,7 @@ def _spec_failures(
     nprocs: int,
     plan_source: str = "fixed",
     sched: str = "rr",
+    config: RunConfig | None = None,
 ) -> tuple[list[str], int]:
     """All failures one spec exhibits, plus the number of plans checked.
 
@@ -153,7 +155,8 @@ def _spec_failures(
     ``sched`` picks the scheduler axis: each leg runs the full oracle +
     simulator-invariant stack under that schedule, and ``both``
     additionally compares the rr and steal baseline runs against the
-    schedule-independence metamorphics.
+    schedule-independence metamorphics.  The simulator legs run on the
+    protocol core of ``config``.
     """
     try:
         checked = compile_source(progen.render(spec))
@@ -178,7 +181,8 @@ def _spec_failures(
             out += [
                 f"invariant[{leg}]: {m}"
                 for m in invariants.check_trace(
-                    base_run.trace, nprocs, block_sizes=FUZZ_BLOCK_SIZES
+                    base_run.trace, nprocs, block_sizes=FUZZ_BLOCK_SIZES,
+                    kernel=config and config.kernel,
                 )
             ]
         except Exception as e:
@@ -200,11 +204,12 @@ def _spec_failures(
 
 
 def check_seed(
-    seed: int, nprocs: int, plan_source: str = "fixed", sched: str = "rr"
+    seed: int, nprocs: int, plan_source: str = "fixed", sched: str = "rr",
+    config: RunConfig | None = None,
 ) -> tuple[int, list[str]]:
     """Fuzz one seed (picklable worker entry point)."""
     msgs, nplans = _spec_failures(
-        progen.generate(seed), nprocs, plan_source, sched
+        progen.generate(seed), nprocs, plan_source, sched, config
     )
     return nplans, msgs
 
@@ -220,18 +225,18 @@ def _classify(msgs: list[str]) -> str:
 
 
 def _minimize(
-    seed: int, nprocs: int, plan_source: str = "fixed", sched: str = "rr"
+    seed: int, nprocs: int, plan_source: str, sched: str, config: RunConfig
 ) -> FuzzFailure:
     """Shrink a failing seed to a minimal reproducer."""
     spec = progen.generate(seed)
-    msgs, _ = _spec_failures(spec, nprocs, plan_source, sched)
+    args = (nprocs, plan_source, sched, config)
+    msgs, _ = _spec_failures(spec, *args)
 
     def still_fails(cand: progen.ProgramSpec) -> bool:
-        got, _ = _spec_failures(cand, nprocs, plan_source, sched)
-        return bool(got)
+        return bool(_spec_failures(cand, *args)[0])
 
     small = progen.shrink(spec, still_fails)
-    final_msgs, _ = _spec_failures(small, nprocs, plan_source, sched)
+    final_msgs, _ = _spec_failures(small, *args)
     return FuzzFailure(
         seed=seed,
         kind=_classify(final_msgs or msgs),
@@ -278,14 +283,17 @@ def fuzz(
     plan_source: str = "fixed",
     sched: str = "rr",
     progress=None,
+    config: RunConfig | None = None,
 ) -> FuzzReport:
     """Run the fuzz loop until the time budget or program count is hit.
 
     ``count`` (when given) is exact: exactly that many seeds are
     checked regardless of budget.  Otherwise seeds are consumed in
     batches until ``budget`` seconds elapse.  ``sched`` selects the
-    scheduler axis per seed (see :data:`SCHED_AXES`).
+    scheduler axis per seed (see :data:`SCHED_AXES`); each task
+    carries ``config``.
     """
+    config = config or RunConfig.from_env()
     report = FuzzReport(seed=seed, nprocs=nprocs)
     start = time.monotonic()
     next_seed = seed
@@ -306,7 +314,7 @@ def fuzz(
         task_failures: dict[int, str] = {}
         results = map_tasks(
             check_seed,
-            [(s, nprocs, plan_source, sched) for s in seeds],
+            [(s, nprocs, plan_source, sched, config) for s in seeds],
             jobs=jobs,
             failures=task_failures,
         )
@@ -322,6 +330,8 @@ def fuzz(
         if progress is not None:
             progress(report)
     for s in failing_seeds:
-        report.failures.append(_minimize(s, nprocs, plan_source, sched))
+        report.failures.append(
+            _minimize(s, nprocs, plan_source, sched, config)
+        )
     report.elapsed = time.monotonic() - start
     return report

@@ -20,8 +20,10 @@ none.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+from repro.config import RunConfig
 from repro.harness.pipeline import Pipeline, VersionRun
 from repro.runtime.stealing import RR, SchedConfig, fs_bound
 from repro.workloads.registry import by_name
@@ -128,7 +130,8 @@ def compute_sched_snapshot(
     fs-sanity check (:func:`steal_fs_within_bound`).
     """
     wl = by_name(name)
-    rr_pipe = Pipeline(wl.source, sched=RR)
+    env = RunConfig.from_env()
+    rr_pipe = Pipeline(wl.source, config=replace(env, sched=RR))
     record = {
         "schema": SCHEMA,
         "workload": wl.name,
@@ -138,9 +141,9 @@ def compute_sched_snapshot(
         "steal": {},
     }
     for seed in seeds:
-        pipe = Pipeline(
-            wl.source, sched=SchedConfig("steal", seed=seed)
-        )
+        pipe = Pipeline(wl.source, config=replace(
+            env, sched=SchedConfig("steal", seed=seed)
+        ))
         vr = pipe.run_unoptimized(nprocs)
         rec = _version_record(vr, block_sizes)
         rec["sched"] = vr.run.sched

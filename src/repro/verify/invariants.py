@@ -141,18 +141,20 @@ def check_trace(
     block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES,
     cache_size: int = 32 * 1024,
     assoc: int = 4,
+    kernel: str | None = None,
 ) -> list[str]:
     """Run every simulator invariant over one trace.
 
-    For each block size the trace is simulated by both engines; the two
-    results must agree with each other and each must satisfy the
-    classification invariants.
+    For each block size the trace is simulated by both engines (the
+    fast one on the ``kernel`` mode's core); the two results must agree
+    with each other and each must satisfy the classification
+    invariants.
     """
     violations: list[str] = []
     for bs in block_sizes:
         config = CacheConfig(size=cache_size, block_size=bs, assoc=assoc)
         ref = simulate_trace(trace, nprocs, config)
-        fast = simulate_trace_fast(trace, nprocs, config)
+        fast = simulate_trace_fast(trace, nprocs, config, kernel=kernel)
         label = f"bs={bs}"
         violations += _compare_results(ref, fast, f"{label} fast-vs-reference")
         violations += check_result_internal(ref, trace, f"{label} reference")

@@ -58,21 +58,15 @@ class Workload:
     #: DESIGN.md "Substitutions" and EXPERIMENTS.md).
     cpi: float = 4.0
 
-    def pipeline(self, block_size: int = 128) -> "Pipeline":
+    def pipeline(self, block_size: int = 128, config=None) -> "Pipeline":
         from repro.harness.pipeline import Pipeline
 
-        return Pipeline(self.source, block_size=block_size)
+        return Pipeline(self.source, block_size=block_size, config=config)
 
     def run_version(
         self, pipe: "Pipeline", version: str, nprocs: int
     ) -> "VersionRun":
-        if version == "N":
-            return pipe.run_unoptimized(nprocs)
-        if version == "C":
-            return pipe.run_compiler(nprocs)
-        if version == "P":
-            if self.programmer_plan is None:
-                raise ValueError(f"{self.name} has no programmer version")
-            plan = self.programmer_plan(pipe.analysis(nprocs))
-            return pipe.run_with_plan(nprocs, plan, "P")
-        raise ValueError(f"unknown version {version!r}")
+        from repro.harness.parallel import resolve_plan
+
+        plan = resolve_plan(pipe, self, version, nprocs)
+        return pipe.execute(nprocs, plan, version)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
+from repro.config import ENV_KERNEL as KERNEL_ENV
+from repro.config import RunConfig
+from repro.errors import ReproError, SimulationError
 from repro.runtime.trace import Trace
 from repro.sim import CacheConfig, build_events, simulate_trace
 from repro.sim import kernel as K
@@ -126,19 +128,19 @@ def test_native_state_carries_over_chunks():
 
 
 def test_kernel_mode_env(monkeypatch):
-    monkeypatch.setenv(K.KERNEL_ENV, "python")
-    assert K.kernel_mode() == "python"
-    monkeypatch.setenv(K.KERNEL_ENV, "NATIVE")
-    assert K.kernel_mode() == "native"
-    monkeypatch.delenv(K.KERNEL_ENV)
-    assert K.kernel_mode() == "auto"
-    monkeypatch.setenv(K.KERNEL_ENV, "turbo")
-    with pytest.raises(SimulationError):
-        K.kernel_mode()
+    monkeypatch.setenv(KERNEL_ENV, "python")
+    assert RunConfig.from_env().kernel == "python"
+    monkeypatch.setenv(KERNEL_ENV, "NATIVE")
+    assert RunConfig.from_env().kernel == "native"
+    monkeypatch.delenv(KERNEL_ENV)
+    assert RunConfig.from_env().kernel == "auto"
+    monkeypatch.setenv(KERNEL_ENV, "turbo")
+    with pytest.raises(ReproError, match=KERNEL_ENV):
+        RunConfig.from_env()
 
 
 def test_python_mode_never_loads(monkeypatch):
-    monkeypatch.setenv(K.KERNEL_ENV, "python")
+    monkeypatch.setenv(KERNEL_ENV, "python")
     K.reset_for_tests()
     try:
         assert K.load_kernel() is None
@@ -149,7 +151,7 @@ def test_python_mode_never_loads(monkeypatch):
 
 def test_forced_native_errors_when_unavailable(monkeypatch):
     """REPRO_SIM_KERNEL=native must fail loudly, not silently fall back."""
-    monkeypatch.setenv(K.KERNEL_ENV, "native")
+    monkeypatch.setenv(KERNEL_ENV, "native")
     monkeypatch.setattr(K, "_lib", None)
     monkeypatch.setattr(K, "_load_attempted", True)
     with pytest.raises(SimulationError, match="native"):
@@ -171,13 +173,13 @@ def test_envelope_fallback(monkeypatch):
     )
     events = build_events(trace, 32)
     assert not K.chunk_fits(events.proc, events.block)
-    monkeypatch.setenv(K.KERNEL_ENV, "auto")
+    monkeypatch.setenv(KERNEL_ENV, "auto")
     assert resolve_kernel(events=events) == "python"
     cfg = CacheConfig(size=1024, block_size=32, assoc=2)
     res = simulate_events(events, 2, cfg)  # must not crash
     assert res.kernel == "python"
     assert_same_result(res, simulate_trace(trace, 2, cfg))
-    monkeypatch.setenv(K.KERNEL_ENV, "native")
+    monkeypatch.setenv(KERNEL_ENV, "native")
     if HAVE_NATIVE:
         with pytest.raises(SimulationError, match="envelope"):
             resolve_kernel(events=events)

@@ -7,19 +7,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import ENV_KERNEL as KERNEL_ENV
+from repro.config import ENV_MACHINE as MACHINE_ENV
+from repro.config import RunConfig
 from repro.errors import ReproError, SimulationError
 from repro.machine import (
     DEFAULT_MACHINE,
     MACHINES,
     MachineModel,
-    active_machine,
     get_machine,
     resolve_machine,
 )
-from repro.machine.models import MACHINE_ENV
 from repro.runtime.trace import Trace
 from repro.sim import CacheConfig, CoherenceSim, simulate_trace
-from repro.sim.kernel import KERNEL_ENV, NATIVE, PYTHON, load_kernel
+from repro.sim.kernel import NATIVE, PYTHON, load_kernel
 from repro.sim.engine import resolve_kernel
 
 
@@ -117,7 +118,7 @@ class TestMesi:
 class TestRegistry:
     def test_default_is_the_paper_machine(self, monkeypatch):
         monkeypatch.delenv(MACHINE_ENV, raising=False)
-        m = active_machine()
+        m = get_machine(RunConfig.from_env().machine)
         assert m.name == DEFAULT_MACHINE == "ksr2"
         # exactly the original hard-coded simulate_run geometry
         cfg = m.cache_config(16)
@@ -128,8 +129,8 @@ class TestRegistry:
 
     def test_env_selects_machine(self, monkeypatch):
         monkeypatch.setenv(MACHINE_ENV, "modern64")
-        assert active_machine().name == "modern64"
-        assert active_machine().protocol == "mesi"
+        assert RunConfig.from_env().machine == "modern64"
+        assert get_machine(RunConfig.from_env().machine).protocol == "mesi"
 
     def test_unknown_machine_is_one_line_error(self):
         with pytest.raises(ReproError) as e:
@@ -144,7 +145,7 @@ class TestRegistry:
         model = MACHINES["numa2"]
         assert resolve_machine(model) is model
         assert resolve_machine("numa2") is model
-        assert resolve_machine(None).name == "ksr2"
+        assert get_machine(RunConfig.from_env().machine).name == "ksr2"
 
     def test_miss_latency_tiers(self):
         ksr2 = MACHINES["ksr2"]
@@ -203,8 +204,9 @@ class TestKernelProtocolGate:
 
     def test_env_native_non_msi_raises(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "native")
+        kernel = RunConfig.from_env().kernel
         with pytest.raises(SimulationError):
-            resolve_kernel(protocol="mesi")
+            resolve_kernel(protocol="mesi", kernel=kernel)
 
     def test_native_msi_unaffected(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import perf
+from repro.config import RunConfig
 from repro.obs import chrome, manifest
 from repro.obs import spans as obs
 
@@ -132,9 +133,13 @@ class TestSpans:
         assert "no spans recorded" in obs.render_tree()
 
     def test_enable_exports_env(self, tracing, monkeypatch):
+        """Tracing is process state: enable() exports nothing into the
+        environment (grid workers get the switch with their tasks)."""
         import os
 
-        assert os.environ.get(obs.PROFILE_ENV) == "1"
+        monkeypatch.delenv(obs.PROFILE_ENV, raising=False)
+        obs.enable()
+        assert obs.PROFILE_ENV not in os.environ
         obs.disable()
         assert obs.PROFILE_ENV not in os.environ
 
@@ -364,10 +369,11 @@ class TestManifest:
             source="int main() { return 0; }", plan_desc="natural",
             nprocs=4, block_size=64, sim=sim,
             dynamic={"repairs": 2, "phases": 5},
-            machine_name="modern64",
+            config=RunConfig(machine="modern64"),
         )
         assert rec["schema"] == manifest.SCHEMA
         assert rec["machine"]["name"] == "modern64"
+        assert rec["config"] == RunConfig(machine="modern64").describe()
         assert rec["machine"]["protocol"] == sim.config.protocol
         assert rec["machine"]["line_size"] == sim.config.block_size
         assert rec["dynamic"] == {"repairs": 2, "phases": 5}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.errors import ReproError
 from repro.harness.experiments import WorkloadLab, sweep_points
 from repro.harness.parallel import default_jobs, resolve_plan
 from repro.harness.pipeline import Pipeline
@@ -302,7 +303,8 @@ class TestParallelLab:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
         monkeypatch.setenv("REPRO_JOBS", "bogus")
-        assert default_jobs() >= 1
+        with pytest.raises(ReproError, match="REPRO_JOBS"):
+            default_jobs()  # a typo is an error, not the CPU count
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() >= 1
 

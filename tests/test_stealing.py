@@ -36,12 +36,8 @@ from repro.lang import compile_source
 from repro.layout import DataLayout
 from repro.obs import manifest
 from repro.runtime import run_program, trace_cache
-from repro.runtime.stealing import (
-    RR,
-    SchedConfig,
-    fs_bound,
-    resolve_sched,
-)
+from repro.config import RunConfig
+from repro.runtime.stealing import RR, SchedConfig, fs_bound
 from repro.sim import CacheConfig, simulate_run
 from repro.sim.kernel import load_kernel
 from repro.sim.simcache import cached_simulate
@@ -49,6 +45,11 @@ from repro.verify import invariants, oracle, progen
 
 NPROCS = 4
 STEAL = SchedConfig("steal", seed=7)
+
+
+def env_config(sched: SchedConfig) -> RunConfig:
+    """The ambient configuration (CI's kernel legs) with ``sched``."""
+    return dataclasses.replace(RunConfig.from_env(), sched=sched)
 
 KERNELS = [
     "python",
@@ -141,10 +142,12 @@ def test_streamed_path_matches_batch_under_steal(monkeypatch, tmp_path):
     """O(chunk)-memory streaming replays the same stochastic schedule."""
     monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "cache"))
     cfg = SchedConfig("steal", seed=11)
-    batch = Pipeline(COUNTER_SRC, block_size=64, sched=cfg)
+    batch = Pipeline(COUNTER_SRC, block_size=64,
+                     config=env_config(cfg))
     vr = batch.execute(NPROCS)
     want = vr.simulate(64).misses
-    streamed = Pipeline(COUNTER_SRC, block_size=64, sched=cfg)
+    streamed = Pipeline(COUNTER_SRC, block_size=64,
+                        config=env_config(cfg))
     res, svr = streamed.simulate_streamed(NPROCS, chunk_refs=128)
     got = res.misses
     assert (got.cold, got.replace, got.true_sharing, got.false_sharing) == (
@@ -182,10 +185,10 @@ def test_rr_trace_unchanged_by_scheduler_axis(counter_rr, monkeypatch):
     the same trace the pre-scheduler pipeline produced (the golden
     suite freezes the actual values; this pins the equivalences)."""
     monkeypatch.delenv("REPRO_SCHED", raising=False)
-    default = interpret(COUNTER_SRC, resolve_sched())
+    default = interpret(COUNTER_SRC, RunConfig.from_env().sched)
     assert default.trace.fingerprint == counter_rr.trace.fingerprint
     monkeypatch.setenv("REPRO_SCHED", "rr")
-    forced = interpret(COUNTER_SRC, resolve_sched())
+    forced = interpret(COUNTER_SRC, RunConfig.from_env().sched)
     assert forced.trace.fingerprint == counter_rr.trace.fingerprint
     # under rr every reference is tagged with its owner's pid
     procs = set(np.unique(counter_rr.trace.proc).tolist())
@@ -198,7 +201,7 @@ def test_steal_proc_column_is_layout_invariant():
     not change which cpu executes each reference.  This is what makes
     the natural-vs-transformed oracle comparison sound under steal."""
     cfg = SchedConfig("steal", seed=13)
-    natural = Pipeline(COUNTER_SRC, sched=cfg)
+    natural = Pipeline(COUNTER_SRC, config=env_config(cfg))
     nat = natural.execute(NPROCS, None, "N")
     padded = natural.execute(
         NPROCS, natural.compiler_plan(NPROCS), "C"
@@ -232,16 +235,17 @@ def test_steal_run_never_replays_rr_cache_entry(monkeypatch, tmp_path):
     round-robin trace labelled as a steal run."""
     monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_TRACE_CACHE_MIN", "0")
-    rr_vr = Pipeline(COUNTER_SRC, sched=RR).execute(NPROCS)
+    rr = env_config(RR)
+    rr_vr = Pipeline(COUNTER_SRC, config=rr).execute(NPROCS)
     assert not rr_vr.from_cache
-    assert Pipeline(COUNTER_SRC, sched=RR).execute(NPROCS).from_cache
+    assert Pipeline(COUNTER_SRC, config=rr).execute(NPROCS).from_cache
 
-    steal_cfg = SchedConfig("steal", seed=3)
-    steal_vr = Pipeline(COUNTER_SRC, sched=steal_cfg).execute(NPROCS)
+    steal_cfg = env_config(SchedConfig("steal", seed=3))
+    steal_vr = Pipeline(COUNTER_SRC, config=steal_cfg).execute(NPROCS)
     assert not steal_vr.from_cache  # pre-fix: True (stale rr hit)
     assert steal_vr.run.sched is not None
 
-    replay = Pipeline(COUNTER_SRC, sched=steal_cfg).execute(NPROCS)
+    replay = Pipeline(COUNTER_SRC, config=steal_cfg).execute(NPROCS)
     assert replay.from_cache
     assert replay.run.trace.fingerprint == steal_vr.run.trace.fingerprint
     assert replay.run.sched == steal_vr.run.sched
