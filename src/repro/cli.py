@@ -422,10 +422,34 @@ def _default_bench_path(filename: str) -> str:
     return str(Path("benchmarks") / "results" / filename)
 
 
+_SCHED_FLAGS = ("sched", "sched_seed", "grain")
+
+#: The ``experiments`` flags each artifact would ignore, and why: they
+#: are rejected rather than recorded in a manifest that then claims a
+#: configuration that never ran.
+_EXPERIMENT_IGNORES = {
+    "table1": ((*_SCHED_FLAGS, "machine", "bench_out"), "it runs nothing"),
+    "rws": ((*_SCHED_FLAGS,), "it runs its own rr and steal schedules"),
+    "dynamic": (
+        (*_SCHED_FLAGS, "machine"),
+        "it runs round-robin and sweeps its own machines",
+    ),
+}
+
+
+def _reject_ignored_flags(name: str, args) -> None:
+    flags, why = _EXPERIMENT_IGNORES.get(
+        name, (("bench_out",), "only rws and dynamic write a record")
+    )
+    given = [f"--{f.replace('_', '-')}" for f in flags
+             if getattr(args, f) is not None]
+    if given:
+        raise ReproError(
+            f"experiments {name} does not take {', '.join(given)}: {why}"
+        )
+
+
 def cmd_experiments(args) -> int:
-    config = _config(args)
-    profiling = _begin_profiling(args)
-    lab = WorkloadLab(config=config)
     name = args.name or args.figure
     if name is None:
         print(
@@ -433,6 +457,10 @@ def cmd_experiments(args) -> int:
             file=sys.stderr,
         )
         return 2
+    _reject_ignored_flags(name, args)
+    config = _config(args)
+    profiling = _begin_profiling(args)
+    lab = WorkloadLab(config=config)
     if name == "table1":
         print(render_table1(table1()))
     elif name == "figure3":

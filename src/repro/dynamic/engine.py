@@ -29,10 +29,12 @@ heap field into per-process arenas changes the pointer structure of the
 program, which a runtime copy at a barrier cannot do.  The three
 repairs used here are all realizable by copy + address patch.
 
-One simulation carries the whole run: the cache/protocol state persists
-across a repair, the relocated placement starts cold (its compulsory
-refills are the modelled cost of the copy), and the abandoned placement
-simply ages out of the LRU sets.  A run with zero repairs is
+One protocol core — the simulator's, native or Python, resolved once
+per run through :func:`repro.sim.engine.resolve_kernel` — carries the
+whole run: the cache/protocol state persists across a repair, the
+relocated placement starts cold (its compulsory refills are the
+modelled cost of the copy), and the abandoned placement simply ages
+out of the LRU sets.  A run with zero repairs is
 **bit-identical** to the plain simulation of the same trace — the
 per-phase event feed is a boundary-free re-slicing of the monolithic
 compacted stream (the :class:`~repro.sim.events.EventChunker` carry
@@ -54,8 +56,10 @@ from repro.layout.regions import build_region_map
 from repro.machine.models import resolve_machine
 from repro.rsd.ops import owner_of
 from repro.runtime.trace import RunResult
-from repro.sim.coherence import CoherenceSim, SimResult
+from repro.sim.coherence import SimResult
+from repro.sim.engine import REFERENCE, make_core, resolve_kernel
 from repro.sim.events import EventChunker
+from repro.sim.kernel import PYTHON
 from repro.transform.plan import Decision, TransformPlan
 from repro.tune.space import PlanAction, _actions_for
 
@@ -220,6 +224,7 @@ def mitigate(
     analysis: ProgramAnalysis | None = None,
     min_phase_fs: int = MIN_PHASE_FS,
     max_repairs: int = MAX_REPAIRS,
+    config: RunConfig | None = None,
 ) -> DynamicRun:
     """Simulate ``run`` with online re-layout at phase boundaries.
 
@@ -229,50 +234,53 @@ def mitigate(
     accumulated equivalence plan — pass both to model the *hybrid*
     static + dynamic arm.  ``analysis`` reuses a precomputed
     :func:`analyze_program` result across calls.
+
+    ``config`` selects the machine, the engine and the protocol core,
+    as for :func:`repro.sim.simulate_run`; ``machine`` (a model or a
+    registry name) overrides its machine.  The reference engine runs
+    the Python core.
     """
-    model = resolve_machine(machine or RunConfig.from_env().machine)
-    config = model.cache_config(block_size)
+    config = config or RunConfig.from_env()
+    model = resolve_machine(machine or config.machine)
+    trace = run.trace
+    # relocated placements sit below the interpreter's private space,
+    # so the trace's own procs and blocks bound every event fed below
+    kernel = PYTHON if config.engine == REFERENCE else resolve_kernel(
+        kernel=config.kernel,
+        envelope=(trace.proc, trace.addr // block_size),
+    )
+    core = make_core(kernel, nprocs, model.cache_config(block_size))
     pa = analysis if analysis is not None else analyze_program(checked, nprocs)
     actions = _candidate_actions(pa, layout, block_size)
     regions = build_region_map(layout, run.heap_segments)
 
     overlay = AddressOverlay(block_size=block_size)
-    sim = CoherenceSim(nprocs, config)
-    access = sim._access_block
-    trace = run.trace
     bounds = _phase_bounds(run)
     dyn_block_lo = DYN_BASE // block_size
 
     phases: list[PhaseStat] = []
     repairs: list[Repair] = []
     applied: list[PlanAction] = []
+    fs_before: dict[int, int] = {}
 
     for k in range(len(bounds) - 1):
         lo, hi = bounds[k], bounds[k + 1]
-        fs_before = dict(sim.fs_by_block)
         chunker = EventChunker(block_size)
-        addrs = overlay.translate(trace.addr[lo:hi])
-        for stream in (
-            chunker.feed(
-                trace.proc[lo:hi], addrs, trace.size[lo:hi],
-                trace.is_write[lo:hi],
-            ),
-            chunker.flush(),
-        ):
-            for ev in zip(
-                stream.proc.tolist(), stream.block.tolist(),
-                stream.w_lo.tolist(), stream.w_hi.tolist(),
-                stream.is_write.tolist(), stream.repeat.tolist(),
-            ):
-                access(*ev)
+        core.consume(chunker.feed(
+            trace.proc[lo:hi], overlay.translate(trace.addr[lo:hi]),
+            trace.size[lo:hi], trace.is_write[lo:hi],
+        ))
+        core.consume(chunker.flush())
 
         # per-structure FS delta of this phase (relocated placements are
         # outside the region map — and outside the candidate set anyway)
+        fs_now = core.fs_by_block()
         delta = {
             b: c - fs_before.get(b, 0)
-            for b, c in sim.fs_by_block.items()
+            for b, c in fs_now.items()
             if c > fs_before.get(b, 0)
         }
+        fs_before = fs_now
         stat = PhaseStat(
             index=k, start=lo, stop=hi, fs_misses=sum(delta.values())
         )
@@ -331,8 +339,9 @@ def mitigate(
                 f"on {r.structure}; {act.why}",
             )
         )
-    result = sim.result(
-        extra_refs=sum(run.private_refs.values()), engine="dynamic"
+    result = core.result(
+        extra_refs=sum(run.private_refs.values()), sim_seconds=0.0,
+        engine="dynamic",
     )
     return DynamicRun(
         result=result,

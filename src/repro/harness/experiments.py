@@ -879,12 +879,12 @@ def dynamic(
                 dyn = mitigate(
                     pipe.checked, nat.layout, nat.run,
                     nprocs=nprocs, block_size=bs, machine=model,
-                    analysis=pa,
+                    analysis=pa, config=config,
                 )
                 hyb = mitigate(
                     pipe.checked, stat.layout, stat.run,
                     nprocs=nprocs, block_size=bs, machine=model,
-                    base_plan=plan_c, analysis=pa,
+                    base_plan=plan_c, analysis=pa, config=config,
                 )
                 verified = _plan_verified(
                     pipe.checked, dyn.plan, nprocs, oracle_cache

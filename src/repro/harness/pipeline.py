@@ -186,8 +186,6 @@ class Pipeline:
         plan: Optional[TransformPlan] = None,
         version: str = "N",
         *,
-        cache_size: int = 32 * 1024,
-        assoc: int = 4,
         word_invalidate: bool = False,
         chunk_refs: Optional[int] = None,
     ) -> tuple[SimResult, VersionRun]:
@@ -198,7 +196,8 @@ class Pipeline:
         routes trace chunks from the interpreter thread straight into a
         carry-over protocol core (:mod:`repro.runtime.stream`), so peak
         memory is O(chunk) regardless of trace length.  Results are
-        bit-identical to the batch path.
+        bit-identical to the batch path, on the machine of the
+        pipeline's config at the pipeline's block size.
 
         The trace cache still participates: a cached entry is replayed
         shard by shard (no interpretation, no materialization), and a
@@ -207,12 +206,12 @@ class Pipeline:
         past.  The returned ``VersionRun``'s trace is empty — use
         :meth:`execute` when the raw reference stream itself is needed.
         """
+        from repro.machine.models import resolve_machine
         from repro.runtime.stream import stream_simulate, stream_events
-        from repro.sim import CacheConfig
         from repro.sim.engine import simulate_event_chunks
 
-        config = CacheConfig(
-            size=cache_size, block_size=self.block_size, assoc=assoc
+        config = resolve_machine(self.config.machine).cache_config(
+            self.block_size
         )
         layout = DataLayout(
             self.checked, plan, block_size=self.block_size, nprocs=nprocs

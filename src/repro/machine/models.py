@@ -7,9 +7,9 @@ resource-oblivious multicore model of Cole–Ramachandran, 64 B-line MESI
 desktops, multi-socket NUMA parts) need other geometries, so the
 machine description is now a first-class :class:`MachineModel` value
 carried through the simulator (:class:`~repro.sim.cache.CacheConfig`
-grew a ``protocol`` field), the native-kernel pre-check (the C kernel
-is MSI-only; other protocols fall back to the Python core), the
-simulation memo keys, and run manifests.
+grew a ``protocol`` field, which both protocol cores — the native
+kernel and the Python oracle — implement), the simulation memo keys,
+and run manifests.
 
 Selection: the ``machine`` of a :class:`~repro.config.RunConfig`
 (``--machine <name>`` or ``REPRO_MACHINE``; default

@@ -97,7 +97,6 @@ _PERF_KEYS = (
     "kernel.build",
     "kernel.built",
     "kernel.envelope_fallback",
-    "kernel.protocol_fallback",
     "stream.chunks",
     "stream.refs",
     "stream.stall_seconds",

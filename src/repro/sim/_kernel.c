@@ -1,4 +1,4 @@
-/* Native MSI coherence kernel (block-invalidate mode).
+/* Native coherence kernel (block-invalidate mode): MSI and MESI.
  *
  * A line-for-line port of the hot loop of repro/sim/coherence.py
  * (`CoherenceSim._access_block` and its helpers) operating directly on
@@ -6,9 +6,14 @@
  * remains the reference semantics; this kernel must stay bit-identical
  * to it (enforced by tests/test_kernel.py and the CI kernel-smoke job).
  *
- * Scope: the paper's write-invalidate protocol only.  The word-
- * granularity invalidation variant (Dubois et al.) always runs on the
- * Python core — it is a section-6 comparison point, not a hot path.
+ * Scope: the write-invalidate protocol, as the paper's MSI or as MESI
+ * (sim_new's `mesi` flag).  MESI adds the Exclusive state: a read miss
+ * with no other valid holder installs E, a write hit on E upgrades to M
+ * silently (no invalidation, no upgrade), and a remote read miss demotes
+ * E to S without a writeback.  Miss classification is the same under
+ * both.  The word-granularity invalidation variant (Dubois et al.)
+ * always runs on the Python core — it is a section-6 comparison point,
+ * not a hot path.
  *
  * State mapping (Python -> C):
  *   Cache.sets (insertion-ordered dicts, first = LRU)
@@ -39,6 +44,7 @@
 #define K_INVALID 0
 #define K_SHARED 1
 #define K_MODIFIED 2
+#define K_EXCLUSIVE 3
 
 #define KIND_COLD 0
 #define KIND_REPLACE 1
@@ -164,6 +170,7 @@ typedef struct {
 typedef struct {
     int64_t n_sets;
     int64_t assoc;
+    int mesi;
     PCache *caches[MAX_PROCS];
     int64_t counts[MAX_PROCS][4]; /* row pid+1: cold/replace/true/false */
     int32_t pids[MAX_PROCS];      /* first-touch order */
@@ -375,8 +382,10 @@ static void do_miss(Sim *s, PCache *c, int64_t proc, int64_t block,
             return;
         new_state = K_MODIFIED;
     } else {
-        /* demote a remote MODIFIED copy to SHARED (writeback) */
-        uint64_t holders = (uint64_t)bv->v0;
+        /* demote a remote MODIFIED copy to SHARED (writeback); under
+         * MESI a remote EXCLUSIVE copy also demotes, but clean */
+        int others_valid = 0;
+        uint64_t holders = (uint64_t)bv->v0 & ~(1ULL << (proc + 1));
         while (holders) {
             int b = __builtin_ctzll(holders);
             holders &= holders - 1;
@@ -384,13 +393,18 @@ static void do_miss(Sim *s, PCache *c, int64_t proc, int64_t block,
             if (!oc)
                 continue;
             int64_t i = cache_find(s, oc, block);
-            if (i >= 0 && oc->statev[i] == K_MODIFIED) {
+            if (i < 0)
+                continue;
+            others_valid = 1;
+            if (oc->statev[i] == K_MODIFIED || oc->statev[i] == K_EXCLUSIVE) {
+                if (oc->statev[i] == K_MODIFIED)
+                    s->writebacks++;
                 oc->statev[i] = K_SHARED;
                 oc->stampv[i] = ++oc->counter; /* set_state re-inserts MRU */
-                s->writebacks++;
             }
         }
-        new_state = K_SHARED;
+        /* MESI: a read miss with no other valid holder installs E */
+        new_state = s->mesi && !others_valid ? K_EXCLUSIVE : K_SHARED;
     }
     int64_t vblock = 0;
     int vstate = 0;
@@ -417,13 +431,15 @@ static void do_miss(Sim *s, PCache *c, int64_t proc, int64_t block,
 /* Public API (ctypes)                                               */
 /* ---------------------------------------------------------------- */
 
-Sim *sim_new(int64_t n_sets, int64_t assoc)
+/* mesi: nonzero selects MESI, zero the paper's MSI. */
+Sim *sim_new(int64_t n_sets, int64_t assoc, int64_t mesi)
 {
     Sim *s = (Sim *)calloc(1, sizeof(Sim));
     if (!s)
         return NULL;
     s->n_sets = n_sets;
     s->assoc = assoc;
+    s->mesi = mesi != 0;
     if (map_init(&s->blocks, 1024) || map_init(&s->lost, 1024) ||
         map_init(&s->wlog, 4096) || map_init(&s->pairs, 256)) {
         map_free(&s->blocks);
@@ -487,6 +503,10 @@ int sim_run(Sim *s, int64_t n, const int64_t *proc, const int64_t *block,
                 c->statev[idx] = K_MODIFIED;
                 c->stampv[idx] = ++c->counter;
                 s->upgrades++;
+            } else if (wr && c->statev[idx] == K_EXCLUSIVE) {
+                /* MESI silent upgrade: no other cache holds the block */
+                c->statev[idx] = K_MODIFIED;
+                c->stampv[idx] = ++c->counter;
             }
         }
         if (wr) {

@@ -33,9 +33,10 @@ kernel, chunking) on top of this.
 
 from __future__ import annotations
 
-import logging
 import time as _time
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro import perf
 from repro.config import RunConfig
@@ -52,8 +53,6 @@ from repro.sim.kernel import (
     chunk_fits,
 )
 from repro.sim.events import EventChunker, EventStream, build_events
-
-log = logging.getLogger("repro.sim.engine")
 
 FAST = "fast"
 REFERENCE = "reference"
@@ -85,6 +84,10 @@ class _PythonCore:
         ):
             step(*ev)
 
+    def fs_by_block(self) -> dict[int, int]:
+        """False-sharing misses per block so far (a snapshot)."""
+        return dict(self.sim.fs_by_block)
+
     def result(self, *, extra_refs: int, sim_seconds: float,
                engine: str) -> SimResult:
         res = self.sim.result(
@@ -98,39 +101,27 @@ def resolve_kernel(
     *,
     word_invalidate: bool = False,
     events: EventStream | None = None,
+    envelope: tuple[np.ndarray, np.ndarray] | None = None,
     kernel: str | None = None,
-    protocol: str = "msi",
 ) -> str:
     """Pick the protocol core for one simulation.
 
     ``kernel`` is the requested mode (``auto``/``native``/``python``).
     ``word_invalidate`` always runs on the Python core (a cold
-    comparison path, out of the C kernel's scope).  The C kernel is
-    MSI-only, and with the full event stream in hand its envelope is
-    pre-checked: a non-MSI ``protocol`` or an ineligible stream falls
-    back to Python under ``auto`` and raises under ``native``
-    (silently simulating the wrong protocol would poison every
-    downstream miss count).
+    comparison path, out of the C kernel's scope).  When the input is
+    known up front — the full ``events`` stream, or an ``envelope`` of
+    ``(proc, block)`` columns bounding it — the native envelope is
+    pre-checked: an ineligible input falls back to Python under
+    ``auto`` and raises under ``native``.
     """
     if word_invalidate:
         return PYTHON
     mode = kernel or RunConfig.from_env().kernel
-    if mode == NATIVE and protocol != "msi":
-        raise SimulationError(
-            f"the native kernel implements the MSI protocol only "
-            f"(machine protocol is {protocol!r}) and kernel mode "
-            f"native forbids the Python fallback"
-        )
     resolved = active_kernel(mode)
-    if resolved == NATIVE and protocol != "msi":
-        log.info(
-            "native kernel skipped: protocol %r needs the Python core "
-            "(the C kernel is MSI-only)", protocol,
-        )
-        perf.add("kernel.protocol_fallback")
-        return PYTHON
-    if resolved == NATIVE and events is not None and not chunk_fits(
-        events.proc, events.block
+    if events is not None:
+        envelope = (events.proc, events.block)
+    if resolved == NATIVE and envelope is not None and not chunk_fits(
+        *envelope
     ):
         if mode == NATIVE:
             raise SimulationError(
@@ -143,8 +134,10 @@ def resolve_kernel(
     return resolved
 
 
-def _make_core(kernel: str, nprocs: int, config: CacheConfig,
-               word_invalidate: bool):
+def make_core(kernel: str, nprocs: int, config: CacheConfig,
+              word_invalidate: bool = False):
+    """A carry-over protocol core (``consume`` event chunks, then
+    ``fs_by_block`` or ``result``) for a resolved ``kernel``."""
     if kernel == NATIVE:
         return NativeSim(nprocs, config)
     return _PythonCore(nprocs, config, word_invalidate)
@@ -189,10 +182,9 @@ def simulate_events(
     t0 = _time.perf_counter()
     resolved = resolve_kernel(
         word_invalidate=word_invalidate, events=events, kernel=kernel,
-        protocol=config.protocol,
     )
     with perf.timer(f"sim.kernel.{resolved}"):
-        core = _make_core(resolved, nprocs, config, word_invalidate)
+        core = make_core(resolved, nprocs, config, word_invalidate)
         core.consume(events)
         res = core.result(
             extra_refs=extra_refs,
@@ -224,7 +216,6 @@ def simulate_event_chunks(
     t0 = _time.perf_counter()
     resolved = resolve_kernel(
         word_invalidate=word_invalidate, kernel=kernel,
-        protocol=config.protocol,
     )
     n_chunks = 0
     n_events = 0
@@ -233,7 +224,7 @@ def simulate_event_chunks(
         block_size=config.block_size,
     ) as sp:
         with perf.timer(f"sim.kernel.{resolved}"):
-            core = _make_core(resolved, nprocs, config, word_invalidate)
+            core = make_core(resolved, nprocs, config, word_invalidate)
             for events in chunks:
                 if word_invalidate and not events.word_granularity:
                     raise ValueError(

@@ -4,9 +4,11 @@ The protocol hot loop (:meth:`repro.sim.coherence.CoherenceSim._access_block`
 over the columnar events of :mod:`repro.sim.events`) is ported to C and
 compiled **on demand** with the system C compiler into a cached shared
 object — no new Python dependencies, and the image's toolchain (``cc``)
-is all it needs.  The pure-Python :class:`~repro.sim.coherence.CoherenceSim`
-stays the always-available reference path; the kernel must match it
-bit-for-bit (``tests/test_kernel.py``, CI's ``kernel-smoke`` job).
+is all it needs.  It is the production protocol core for
+both protocols a machine can name (the paper's MSI and MESI).  The
+pure-Python :class:`~repro.sim.coherence.CoherenceSim` stays the oracle
+and the no-compiler fallback; the kernel must match it bit-for-bit
+(``tests/test_kernel.py``, CI's ``kernel-smoke`` job).
 
 Selection — the ``kernel`` of a :class:`~repro.config.RunConfig`
 (``--sim-kernel`` or ``REPRO_SIM_KERNEL``):
@@ -184,7 +186,7 @@ def load_kernel(mode: str | None = None) -> ctypes.CDLL | None:
             pass
         return None
     lib.sim_new.restype = ctypes.c_void_p
-    lib.sim_new.argtypes = [ctypes.c_int64, ctypes.c_int64]
+    lib.sim_new.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
     lib.sim_free.restype = None
     lib.sim_free.argtypes = [ctypes.c_void_p]
     lib.sim_run.restype = ctypes.c_int
@@ -223,6 +225,11 @@ def chunk_fits(proc: np.ndarray, block: np.ndarray) -> bool:
     )
 
 
+def _nonzero(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
+    hit = values != 0
+    return dict(zip(keys[hit].tolist(), values[hit].tolist()))
+
+
 def _as_i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
@@ -247,7 +254,9 @@ class NativeSim:
         self._lib = lib
         self.nprocs = nprocs
         self.config = config
-        self._handle = lib.sim_new(config.n_sets, config.assoc)
+        self._handle = lib.sim_new(
+            config.n_sets, config.assoc, config.protocol == "mesi"
+        )
         if not self._handle:
             raise SimulationError("native kernel allocation failed")
 
@@ -283,6 +292,34 @@ class NativeSim:
                 _RUN_ERRORS.get(rc, f"native kernel error {rc}")
             )
 
+    def _stats(self) -> list[int]:
+        """refs, time, invalidations, writebacks, upgrades, npids,
+        nblocks, npairs."""
+        stats = np.zeros(8, dtype=np.int64)
+        self._lib.sim_stats(self._handle, stats.ctypes.data_as(_I64P))
+        return [int(x) for x in stats]
+
+    def _blocks(self):
+        """Per-block (block, miss count, false-sharing count) columns."""
+        nblocks = self._stats()[6]
+        blocks = np.zeros(nblocks, dtype=np.int64)
+        miss = np.zeros(nblocks, dtype=np.int64)
+        fs = np.zeros(nblocks, dtype=np.int64)
+        if nblocks:
+            self._lib.sim_export_blocks(
+                self._handle,
+                blocks.ctypes.data_as(_I64P),
+                miss.ctypes.data_as(_I64P),
+                fs.ctypes.data_as(_I64P),
+            )
+        return blocks, miss, fs
+
+    def fs_by_block(self) -> dict[int, int]:
+        """False-sharing misses per block so far (the same dict
+        :attr:`SimResult.fs_by_block` would hold now)."""
+        blocks, _miss, fs = self._blocks()
+        return _nonzero(blocks, fs)
+
     def result(self, *, extra_refs: int = 0, sim_seconds: float = 0.0,
                engine: str = "fast"):
         """Materialize the accumulated state as a
@@ -291,10 +328,8 @@ class NativeSim:
         from repro.sim.coherence import PerProcCounts, SimResult
 
         lib = self._lib
-        stats = np.zeros(8, dtype=np.int64)
-        lib.sim_stats(self._handle, stats.ctypes.data_as(_I64P))
-        refs, _time, invalidations, writebacks, upgrades, npids, nblocks, \
-            npairs = (int(x) for x in stats)
+        refs, _time, invalidations, writebacks, upgrades, npids, _nblocks, \
+            npairs = self._stats()
 
         counts = np.zeros((_MAX_PROCS_ROWS, 4), dtype=np.int64)
         pids = np.zeros(_MAX_PROCS_ROWS, dtype=np.int32)
@@ -308,20 +343,7 @@ class NativeSim:
         rows = max(self.nprocs + 1, max((p + 2 for p in pids_seen), default=0))
         proc_counts = counts[: max(rows, 1)].copy()
 
-        blocks = np.zeros(nblocks, dtype=np.int64)
-        miss = np.zeros(nblocks, dtype=np.int64)
-        fs = np.zeros(nblocks, dtype=np.int64)
-        if nblocks:
-            lib.sim_export_blocks(
-                self._handle,
-                blocks.ctypes.data_as(_I64P),
-                miss.ctypes.data_as(_I64P),
-                fs.ctypes.data_as(_I64P),
-            )
-        miss_by_block = {
-            int(b): int(m) for b, m in zip(blocks, miss) if m
-        }
-        fs_by_block = {int(b): int(f) for b, f in zip(blocks, fs) if f}
+        blocks, miss, fs = self._blocks()
 
         pb = np.zeros(npairs, dtype=np.int64)
         pby = np.zeros(npairs, dtype=np.int32)
@@ -353,8 +375,8 @@ class NativeSim:
             writebacks=writebacks,
             upgrades=upgrades,
             per_proc=PerProcCounts(proc_counts, pids_seen),
-            fs_by_block=fs_by_block,
-            miss_by_block=miss_by_block,
+            fs_by_block=_nonzero(blocks, fs),
+            miss_by_block=_nonzero(blocks, miss),
             fs_pair_by_block=fs_pair_by_block,
             extra_refs=extra_refs,
             sim_seconds=sim_seconds,

@@ -233,7 +233,6 @@ def cached_simulate(
     else:
         resolved_kernel = resolve_kernel(
             word_invalidate=word_invalidate, kernel=kernel,
-            protocol=config.protocol,
         )
     # a python resolution is final; a native one is re-checked against
     # the kernel envelope under the requested mode

@@ -13,7 +13,16 @@ Every property here is something the paper's miss classification makes
 * **cold misses count first touches** — exactly one cold miss per
   distinct (processor, block) pair referenced in the trace;
 * **engine equivalence** — the vectorized fast engine and the
-  reference simulator agree event-for-event on every counter;
+  reference simulator agree event-for-event on every counter, under
+  both protocols (MSI and MESI);
+* **protocol invariance** — MESI's Exclusive state only changes which
+  transitions cost bus transactions, so MSI and MESI runs of one trace
+  classify every miss alike (identical miss classes and per-block
+  false sharing) whenever neither run took a replacement miss (a
+  remote read that demotes E→S refreshes that copy's LRU position
+  where MSI leaves its S copy alone, so the two can evict different
+  victims, and the first miss that sees a different victim is a
+  replacement miss);
 * **schedule independence** — two executions of the same program under
   different schedules (round-robin vs randomized work stealing, or two
   steal seeds) must emit the same *write profile*: the multiset of
@@ -35,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.trace import RunResult, Trace
+from repro.sim.cache import PROTOCOLS
 from repro.sim.coherence import WORD, CacheConfig, SimResult, simulate_trace
 from repro.sim.engine import simulate_trace_fast
 
@@ -145,20 +155,36 @@ def check_trace(
 ) -> list[str]:
     """Run every simulator invariant over one trace.
 
-    For each block size the trace is simulated by both engines (the
-    fast one on the ``kernel`` mode's core); the two results must agree
-    with each other and each must satisfy the classification
-    invariants.
+    For each block size and protocol the trace is simulated by both
+    engines (the fast one on the ``kernel`` mode's core); the two
+    results must agree with each other and each must satisfy the
+    classification invariants.  The MSI and MESI results must then
+    satisfy the protocol-invariance metamorphic.
     """
     violations: list[str] = []
     for bs in block_sizes:
-        config = CacheConfig(size=cache_size, block_size=bs, assoc=assoc)
-        ref = simulate_trace(trace, nprocs, config)
-        fast = simulate_trace_fast(trace, nprocs, config, kernel=kernel)
-        label = f"bs={bs}"
-        violations += _compare_results(ref, fast, f"{label} fast-vs-reference")
-        violations += check_result_internal(ref, trace, f"{label} reference")
-        violations += check_result_internal(fast, trace, f"{label} fast")
+        refs = {}
+        for protocol in PROTOCOLS:
+            config = CacheConfig(size=cache_size, block_size=bs, assoc=assoc,
+                                 protocol=protocol)
+            ref = refs[protocol] = simulate_trace(trace, nprocs, config)
+            fast = simulate_trace_fast(trace, nprocs, config, kernel=kernel)
+            label = f"bs={bs}" if protocol == "msi" else f"bs={bs} {protocol}"
+            violations += _compare_results(
+                ref, fast, f"{label} fast-vs-reference"
+            )
+            violations += check_result_internal(ref, trace, f"{label} reference")
+            violations += check_result_internal(fast, trace, f"{label} fast")
+        msi, mesi = refs["msi"], refs["mesi"]
+        if msi.misses.replace == mesi.misses.replace == 0 and (
+            msi.misses != mesi.misses or msi.fs_by_block != mesi.fs_by_block
+        ):
+            violations.append(
+                f"bs={bs} msi-vs-mesi: miss classes "
+                f"{msi.misses.as_tuple()} vs {mesi.misses.as_tuple()}"
+                + ("" if msi.fs_by_block == mesi.fs_by_block
+                   else ", fs_by_block differs")
+            )
     return violations
 
 

@@ -119,7 +119,45 @@ def test_command_rejects_flags_it_ignores(capsys, cmd, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
-# -- the CLI writes nothing into the environment -----------------------------
+_FLAG_ARGS = {
+    "--sched": ["--sched", "steal"], "--sched-seed": ["--sched-seed", "3"],
+    "--grain": ["--grain", "2"], "--machine": ["--machine", "numa2"],
+    "--bench-out": ["--bench-out", "out.json"],
+}
+EXPERIMENT_IGNORED = [
+    (artifact, flag)
+    for artifact, flags in (
+        ("table1", ("--sched", "--sched-seed", "--grain", "--machine",
+                    "--bench-out")),
+        ("rws", ("--sched", "--sched-seed", "--grain")),
+        ("dynamic", ("--sched", "--sched-seed", "--grain", "--machine")),
+        ("figure3", ("--bench-out",)),
+    )
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize(
+    "artifact,flag", EXPERIMENT_IGNORED,
+    ids=[f"{a}{f}" for a, f in EXPERIMENT_IGNORED],
+)
+def test_experiments_rejects_flags_an_artifact_ignores(
+    clean_env, monkeypatch, tmp_path, capsys, artifact, flag
+):
+    log = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("REPRO_RUN_LOG", str(log))
+    argv = ["experiments", artifact, *_FLAG_ARGS[flag]]
+    if flag in ("--sched-seed", "--grain"):
+        argv += ["--sched", "steal"]  # a well-formed steal schedule
+    code, err = _main(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"repro: experiments {artifact} does not take ")
+    assert flag in err
+    assert not log.exists()  # nothing ran, so nothing was recorded
+
+
+# -- the CLI writes nothing into the environment -----------------------------# -- the CLI writes nothing into the environment -----------------------------
 
 
 def _commands(tmp):

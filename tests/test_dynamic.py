@@ -15,13 +15,17 @@ from repro.dynamic import (
     AddressOverlay,
     mitigate,
 )
-from repro.errors import ReproError
+from repro.config import RunConfig
+from repro.errors import ReproError, SimulationError
 from repro.lang import compile_source
 from repro.layout import DataLayout
+from repro.machine import MACHINES
 from repro.runtime import run_program, trace_cache
 from repro.runtime.stealing import RR, SchedConfig
 from repro.sim import simulate_run
 from repro.verify.oracle import diff_states, observe
+
+from test_kernel import HAVE_NATIVE, assert_same_result, needs_native
 
 NPROCS = 4
 
@@ -284,6 +288,82 @@ class TestEngine:
         checked, layout, run = interpret(COUNTER_SRC)
         dyn = mitigate(checked, layout, run, nprocs=NPROCS, block_size=64)
         assert all(r.phase < len(run.phase_marks) for r in dyn.repairs)
+
+
+# ---------------------------------------------------------------------------
+# The engine on both protocol cores
+# ---------------------------------------------------------------------------
+
+
+@needs_native
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_native_and_python_cores_agree(machine):
+    checked, layout, run = interpret(HOT_SRC)
+    got = {
+        kernel: mitigate(
+            checked, layout, run, nprocs=NPROCS, block_size=64,
+            config=RunConfig(machine=machine, kernel=kernel),
+        )
+        for kernel in ("native", "python")
+    }
+    nat, py = got["native"], got["python"]
+    assert (nat.result.kernel, py.result.kernel) == ("native", "python")
+    assert nat.repairs, "the hot array must be repaired on every machine"
+    assert nat.phases == py.phases
+    assert nat.repairs == py.repairs
+    assert nat.plan.describe() == py.plan.describe()
+    assert nat.counters() == py.counters()
+    assert_same_result(nat.result, py.result)
+    assert nat.result.extra_refs == py.result.extra_refs
+
+
+def test_reference_engine_runs_the_python_core():
+    checked, layout, run = interpret(COUNTER_SRC)
+    dyn = mitigate(
+        checked, layout, run, nprocs=NPROCS, block_size=64,
+        config=RunConfig(engine="reference"),
+    )
+    assert dyn.result.kernel == "python"
+
+
+def test_zero_repairs_bit_identical_on_modern64():
+    """The honesty property holds on the MESI geometry too: with
+    repairs off, the engine's core reproduces the plain simulation."""
+    checked, layout, run = interpret(HOT_SRC)
+    config = RunConfig(machine="modern64")
+    plain = simulate_run(run, 64, config=config)
+    dyn = mitigate(
+        checked, layout, run, nprocs=NPROCS, block_size=64,
+        max_repairs=0, config=config,
+    )
+    assert dyn.repairs == [] and dyn.result.config == plain.config
+    assert dyn.result.config.protocol == "mesi"
+    assert_same_result(dyn.result, plain)
+    assert dyn.result.extra_refs == plain.extra_refs
+
+
+def test_out_of_envelope_run_falls_back_or_raises():
+    """A run past the native envelope (procs > 62) falls back to the
+    Python core under auto and raises under native."""
+    from repro.runtime.trace import RunResult, Trace
+
+    trace = Trace(
+        proc=np.array([63, 0, 63], np.int32),
+        addr=np.array([0, 4, 0], np.int64),
+        size=np.array([4, 4, 4], np.int32),
+        is_write=np.array([True, True, False]),
+    )
+    run = RunResult(trace=trace, nprocs=64, work={}, private_refs={},
+                    shared_refs={})
+    checked, layout, _ = interpret(NOBAR_SRC)
+    dyn = mitigate(checked, layout, run, nprocs=64, block_size=64,
+                   config=RunConfig(kernel="auto"))
+    assert dyn.result.kernel == "python"
+    assert dyn.result.misses.total == 3
+    if HAVE_NATIVE:
+        with pytest.raises(SimulationError, match="envelope"):
+            mitigate(checked, layout, run, nprocs=64, block_size=64,
+                     config=RunConfig(kernel="native"))
 
 
 # ---------------------------------------------------------------------------

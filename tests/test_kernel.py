@@ -26,7 +26,8 @@ from repro.sim.engine import (
     simulate_trace_chunked,
     simulate_trace_fast,
 )
-from repro.workloads.registry import SIMULATION_WORKLOADS
+from repro.machine import MACHINES
+from repro.workloads.registry import SIMULATION_WORKLOADS, by_name
 
 from test_engine_equivalence import make_trace
 
@@ -70,10 +71,13 @@ events_strategy = st.lists(
 
 @needs_native
 @settings(max_examples=150, deadline=None)
-@given(events=events_strategy, block=st.sampled_from([8, 16, 32]))
-def test_native_matches_reference_random(events, block):
+@given(events=events_strategy, block=st.sampled_from([8, 16, 32]),
+       assoc=st.sampled_from([1, 2]),
+       protocol=st.sampled_from(["msi", "mesi"]))
+def test_native_matches_reference_random(events, block, assoc, protocol):
     trace = make_trace(events)
-    cfg = CacheConfig(size=4 * block, block_size=block, assoc=1)
+    cfg = CacheConfig(size=4 * block * assoc, block_size=block, assoc=assoc,
+                      protocol=protocol)
     ref = simulate_trace(trace, 4, cfg)
     native = simulate_trace_fast(trace, 4, cfg, kernel="native")
     assert native.kernel == "native"
@@ -95,6 +99,51 @@ def test_native_workload_equivalence(wl, block_size, workload_run):
     )
     assert native.kernel == "native"
     assert_same_result(native, ref)
+
+
+@needs_native
+@pytest.mark.parametrize("chunk_refs", [None, 997],
+                         ids=["monolithic", "chunked"])
+@pytest.mark.parametrize("block_size", [8, 64, 256])
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_native_matches_python_per_machine(machine, block_size, chunk_refs,
+                                           workload_run):
+    """Every machine geometry (MSI ksr2, MESI modern64/numa2) runs on
+    the native kernel bit for bit like the Python core."""
+    run = workload_run(by_name("Maxflow"))
+    cfg = MACHINES[machine].cache_config(block_size)
+    py = simulate_trace_fast(run.trace, run.nprocs, cfg, kernel="python")
+    if chunk_refs is None:
+        nat = simulate_trace_fast(run.trace, run.nprocs, cfg, kernel="native")
+    else:
+        nat = simulate_trace_chunked(
+            run.trace, run.nprocs, cfg, chunk_refs, kernel="native"
+        )
+    assert (py.kernel, nat.kernel) == ("python", "native")
+    assert nat.config.protocol == MACHINES[machine].protocol
+    assert_same_result(nat, py)
+
+
+@needs_native
+@pytest.mark.parametrize("protocol", ["msi", "mesi"])
+def test_native_matches_python_under_eviction_pressure(protocol):
+    """A small 2-way cache under five processors: evictions whose
+    victims depend on every LRU refresh (E/M demotions included)."""
+    rng = np.random.default_rng(3)
+    n = 6000
+    trace = Trace(
+        proc=rng.integers(-1, 4, n).astype(np.int32),
+        addr=(rng.integers(0, 1024, n) * 4).astype(np.int64),
+        size=np.full(n, 4, np.int32),
+        is_write=rng.random(n) < 0.3,
+    )
+    cfg = CacheConfig(size=1024, block_size=32, assoc=2, protocol=protocol)
+    py = simulate_trace_fast(trace, 4, cfg, kernel="python")
+    assert py.misses.replace > 0
+    assert_same_result(simulate_trace_fast(trace, 4, cfg, kernel="native"), py)
+    assert_same_result(
+        simulate_trace_chunked(trace, 4, cfg, 101, kernel="native"), py
+    )
 
 
 @needs_native

@@ -1,6 +1,6 @@
 """Machine-model registry and protocol plumbing tests: the MESI
-protocol core, the geometry registry, the native-kernel protocol
-pre-check, and the simulation memo's protocol key."""
+protocol core, the geometry registry, MESI on the native kernel, and
+the simulation memo's protocol key."""
 
 from __future__ import annotations
 
@@ -20,8 +20,10 @@ from repro.machine import (
 )
 from repro.runtime.trace import Trace
 from repro.sim import CacheConfig, CoherenceSim, simulate_trace
-from repro.sim.kernel import NATIVE, PYTHON, load_kernel
+from repro.sim.kernel import NATIVE, PYTHON
 from repro.sim.engine import resolve_kernel
+
+from test_kernel import assert_same_result, needs_native
 
 
 def make_trace(events):
@@ -191,40 +193,81 @@ class TestSimulateRunMachine:
 
 
 # ---------------------------------------------------------------------------
-# Native-kernel protocol pre-check
+# Native-kernel protocol coverage (no protocol gate: the C kernel runs
+# MSI and MESI alike; only the envelope sends a run to Python)
 # ---------------------------------------------------------------------------
 
 
-class TestKernelProtocolGate:
-    def test_forced_native_non_msi_raises(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        with pytest.raises(SimulationError) as e:
-            resolve_kernel(kernel=NATIVE, protocol="mesi")
-        assert "MSI" in str(e.value)
+def _mesi_trace():
+    """Private read-then-write runs (E installs, silent upgrades),
+    remote reads of E and M copies, and conflict evictions."""
+    rng = np.random.default_rng(5)
+    n = 3000
+    return Trace(
+        proc=rng.integers(-1, 4, n).astype(np.int32),
+        addr=(rng.integers(0, 768, n) * 4).astype(np.int64),
+        size=np.full(n, 4, np.int32),
+        is_write=rng.random(n) < 0.35,
+    )
 
+
+MESI_CFG = CacheConfig(size=1024, block_size=32, assoc=2, protocol="mesi")
+
+
+class TestKernelProtocolGate:
+    @needs_native
+    def test_forced_native_non_msi_raises(self, monkeypatch):
+        # (the name predates MESI on the native kernel) forced native
+        # on a MESI machine resolves native and matches the Python
+        # oracle bit for bit
+        from repro.sim.engine import simulate_trace_fast
+
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        assert resolve_kernel(kernel=NATIVE) == NATIVE
+        trace = _mesi_trace()
+        nat = simulate_trace_fast(trace, 4, MESI_CFG, kernel=NATIVE)
+        assert nat.kernel == NATIVE
+        assert_same_result(nat, simulate_trace(trace, 4, MESI_CFG))
+        assert nat.upgrades < simulate_trace_fast(
+            trace, 4, CacheConfig(size=1024, block_size=32, assoc=2),
+            kernel=NATIVE,
+        ).upgrades  # silent E->M upgrades really happened
+
+    @needs_native
     def test_env_native_non_msi_raises(self, monkeypatch):
+        from repro.sim import simulate_run
+        from repro.runtime.trace import RunResult
+
         monkeypatch.setenv(KERNEL_ENV, "native")
-        kernel = RunConfig.from_env().kernel
-        with pytest.raises(SimulationError):
-            resolve_kernel(protocol="mesi", kernel=kernel)
+        config = RunConfig.from_env()
+        assert resolve_kernel(kernel=config.kernel) == NATIVE
+        run = RunResult(trace=_mesi_trace(), nprocs=4, work={},
+                        private_refs={}, shared_refs={})
+        nat = simulate_run(run, 64, machine="modern64", config=config)
+        assert nat.kernel == NATIVE and nat.config.protocol == "mesi"
+        assert_same_result(nat, simulate_trace(run.trace, 4, nat.config))
 
     def test_native_msi_unaffected(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        # protocol="msi" never triggers the gate, whatever the resolution
-        assert resolve_kernel(protocol="msi") in (NATIVE, PYTHON)
+        assert resolve_kernel() in (NATIVE, PYTHON)
 
-    @pytest.mark.skipif(
-        load_kernel() is None,
-        reason="native kernel unavailable (no compiler?)",
-    )
+    @needs_native
     def test_auto_falls_back_to_python(self, monkeypatch):
+        # auto on MESI runs native and counts no fallback; only an
+        # out-of-envelope input still falls back to Python
         from repro import perf
+        from repro.sim.engine import simulate_trace_fast
 
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        before = perf.snapshot().get("kernel.protocol_fallback", 0)
-        assert resolve_kernel(protocol="mesi") == PYTHON
-        after = perf.snapshot().get("kernel.protocol_fallback", 0)
-        assert after == before + 1
+        before = perf.snapshot().get("kernel.envelope_fallback", 0)
+        res = simulate_trace_fast(_mesi_trace(), 4, MESI_CFG)
+        assert res.kernel == NATIVE
+        assert perf.snapshot().get("kernel.envelope_fallback", 0) == before
+        wide = make_trace([(63, 0, 4, True), (0, 0, 4, False)])
+        res = simulate_trace_fast(wide, 64, MESI_CFG)
+        assert res.kernel == PYTHON
+        assert perf.snapshot()["kernel.envelope_fallback"] == before + 1
+        assert_same_result(res, simulate_trace(wide, 64, MESI_CFG))
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,26 @@ def test_pipeline_streamed_roundtrip(tmp_path, monkeypatch):
     assert v1.run.output == v2.run.output == batch.output
 
 
+def test_pipeline_streamed_uses_config_machine(monkeypatch):
+    """The streamed path simulates the config's machine: under
+    modern64 it equals ``VersionRun.simulate`` at the same block size,
+    MESI included."""
+    monkeypatch.setenv("REPRO_ARTIFACTS", "0")
+    from repro.config import RunConfig
+    from repro.harness.pipeline import Pipeline
+
+    from conftest import COUNTER_SRC
+
+    pipe = Pipeline(COUNTER_SRC, block_size=64,
+                    config=RunConfig(machine="modern64"))
+    res, _ = pipe.simulate_streamed(4, chunk_refs=300)
+    batch = pipe.execute(4).simulate(64)
+    assert res.config == batch.config
+    assert res.config.protocol == "mesi" and res.config.assoc == 8
+    assert_same_result(res, batch)
+    assert res.extra_refs == batch.extra_refs
+
+
 # ---------------------------------------------------------------------------
 # scale: 10x the events, O(chunk) memory
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ from conftest import BLOCKED_SRC, COUNTER_SRC, HEAP_SRC
 NPROCS = 4
 
 
+def _mesi64():
+    from repro.sim import CacheConfig
+
+    return CacheConfig(size=32 * 1024, block_size=64, assoc=4,
+                       protocol="mesi")
+
+
 # -- oracle ------------------------------------------------------------------
 
 
@@ -106,6 +113,39 @@ class TestProgen:
             assert not invariants.check_trace(
                 run.trace, NPROCS, block_sizes=(4, 64)
             )
+
+    def test_protocol_axis_is_checked(self, monkeypatch):
+        """check_trace simulates MESI too: a MESI-only disagreement of
+        the fast engine, and an MSI/MESI classification split, are
+        both reported."""
+        checked = compile_source(COUNTER_SRC)
+        _, run = oracle.check_program(checked, NPROCS)
+        real_fast = invariants.simulate_trace_fast
+        real_ref = invariants.simulate_trace
+
+        def broken_fast(trace, nprocs, config, **kw):
+            res = real_fast(trace, nprocs, config, **kw)
+            if config.protocol == "mesi":
+                res.upgrades += 1
+            return res
+
+        monkeypatch.setattr(invariants, "simulate_trace_fast", broken_fast)
+        got = invariants.check_trace(run.trace, NPROCS, block_sizes=(64,))
+        want = real_ref(run.trace, NPROCS, _mesi64()).upgrades
+        assert got == [
+            f"bs=64 mesi fast-vs-reference: upgrades {want} vs {want + 1}"
+        ]
+
+        def split_ref(trace, nprocs, config, **kw):
+            res = real_ref(trace, nprocs, config, **kw)
+            if config.protocol == "mesi":
+                res.fs_by_block = {**res.fs_by_block, -1: 0}
+            return res
+
+        monkeypatch.setattr(invariants, "simulate_trace_fast", real_fast)
+        monkeypatch.setattr(invariants, "simulate_trace", split_ref)
+        got = invariants.check_trace(run.trace, NPROCS, block_sizes=(64,))
+        assert any(m.startswith("bs=64 msi-vs-mesi:") for m in got)
 
     def test_shrink_reaches_fixpoint_and_preserves_failure(self):
         spec = progen.generate(3)
